@@ -58,14 +58,6 @@ def _constant_label(family_id: str, params: dict) -> str:
     return family_id
 
 
-def fraction_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
-    return decimal_str(v, DEFAULT_DIGITS)
-
-
 def decimal_str(v, digits: int) -> str:
     """Decimal string with exactly ``digits`` significant digits."""
     with mp.workdps(digits + 10):
@@ -91,7 +83,7 @@ def _oracle_value(family_id: str, params: dict, digits: int):
         return oracle.inc_gamma_normalized(params["z"], digits).value
     if family_id == "m-fraction":
         b = ComplexParam.coerce(params["b"])
-        return oracle.hyp_1f1(ComplexParam(b.re + 1, b.im), params["z"], digits).value
+        return oracle.hyp_1f1(b + 1, params["z"], digits).value
     return None
 
 
@@ -132,9 +124,9 @@ def cmd_convergents(args) -> tuple[dict, int]:
         rows.append(
             {
                 "k": c.k,
-                "p_raw": fraction_str(c.p_raw) if spec.exact else decimal_str(c.p_raw, args.digits),
-                "q_raw": fraction_str(c.q_raw) if spec.exact else decimal_str(c.q_raw, args.digits),
-                "value": "singular" if singular else fraction_str(c.value),
+                "p_raw": str(c.p_raw),
+                "q_raw": str(c.q_raw),
+                "value": "singular" if singular else str(c.value),
                 "decimal": "singular" if singular else decimal_str(c.value, args.digits),
             }
         )
@@ -184,8 +176,8 @@ def cmd_diff_table(args) -> tuple[dict, int]:
         rows.append(
             {
                 "k": k,
-                "difference": fraction_str(direct),
-                "formula": fraction_str(formula),
+                "difference": str(direct),
+                "formula": str(formula),
                 "match": direct == formula,
             }
         )
@@ -242,7 +234,7 @@ def cmd_compare(args) -> tuple[dict, int]:
         row = {"k": k}
         for s, convs in zip(specs, conv_lists):
             v = convs[k].value
-            row[s.name] = "singular" if v is None else fraction_str(v)
+            row[s.name] = "singular" if v is None else str(v)
         rows.append(row)
     matrix = {}
     for i in range(len(specs)):
@@ -351,12 +343,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cfx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, depth=True):
-        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+        p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS)
         if depth:
             p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
     p.add_argument("--depth", type=int, default=50)
-    p.add_argument("--digits", type=int, default=40)
+    p.add_argument("--digits", type=_positive_int, default=40)
     p.add_argument("--format", choices=("text", "csv", "json"), default="json")
     p.set_defaults(fn=cmd_verify)
 

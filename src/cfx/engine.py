@@ -5,37 +5,48 @@ Convergents come from the Euler-Wallis recurrence
     P_k = b_k P_{k-1} + a_k P_{k-2},   Q_k = b_k Q_{k-1} + a_k Q_{k-2},
 
 with P_{-1} = 1, Q_{-1} = 0, P_0 = b0, Q_0 = 1.  An :class:`ExpansionSpec`
-wraps the fraction in an affine (or custom) finisher so the convergent at
-depth k is the value of the whole expansion truncated after the k-th partial
-fraction.  Raw P_k, Q_k are kept unreduced: closed forms for denominators
-refer to the raw recurrence output, while reduced values match printed
-convergent tables.
+maps w = P_k/Q_k through a Moebius matrix, so the convergent at depth k is the
+value of the whole expansion truncated after the k-th partial fraction.  All
+families run in one exact ring: ints, Fractions and Gaussian rationals
+(:class:`~cfx.kernel.ComplexParam`).  Raw P_k, Q_k are kept unreduced: closed
+forms for denominators refer to the raw recurrence output, while reduced
+values match printed convergent tables.  :func:`estimate_limit` reduces only
+at return, using the determinant identity P_k Q_{k-1} - P_{k-1} Q_k =
+(-1)^{k-1} a_1...a_k (Lorentzen & Waadeland, *Continued Fractions with
+Applications*, 1992).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .kernel import (
+    ComplexParam,
     NonConvergenceError,
     ParameterError,
     Scalar,
     SingularError,
-    to_mp,
 )
 
 DEFAULT_DEPTH_CAP = 10**6
+IDENTITY = (1, 0, 0, 1)  # the Moebius matrix of w -> w
 
 
 def depth_cap() -> int:
     """Iteration cap for limit estimation; CFX_MAX_DEPTH overrides."""
     env = os.environ.get("CFX_MAX_DEPTH")
-    return int(env) if env else DEFAULT_DEPTH_CAP
+    if not env:
+        return DEFAULT_DEPTH_CAP
+    if not env.isdecimal() or int(env) < 1:
+        raise ParameterError(f"CFX_MAX_DEPTH must be a positive integer, not {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -49,38 +60,25 @@ class CoefficientRule:
     b: Callable[[int], Scalar]
 
 
+def mobius(alpha, beta=0, gamma=0, delta=1) -> tuple[int, int, int, int]:
+    """Integer matrix of w -> (alpha w + beta)/(gamma w + delta), rational entries
+    scaled by the lcm of their denominators (the same map, in the integers)."""
+    entries = [Fraction(x) for x in (alpha, beta, gamma, delta)]
+    scale = math.lcm(*(x.denominator for x in entries))
+    return tuple(x.numerator * (scale // x.denominator) for x in entries)
+
+
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """One continued-fraction family: prefix + scale * (b0 + K(a_m/b_m)).
-
-    ``head``/``prefix``/``scale`` may be zero-arg callables for float-ring
-    families whose constants must be rebuilt at the ambient precision.  A
-    custom ``finish`` (mapping the bare fraction value w = b0 + K to the
-    full expansion value) overrides the affine prefix/scale wrapper; this is
-    how the two-level bracket of the rational-exponent family is represented
-    without flattening.
-    """
+    """One continued-fraction family: M(b0 + K(a_m/b_m)) for the Moebius matrix
+    ``mobius``; an affine finisher prefix + scale w is ``mobius(scale, prefix)``."""
 
     name: str
-    head: Any
+    head: Scalar
     rule: Optional[CoefficientRule]
-    prefix: Any = 0
-    scale: Any = 1
-    exact: bool = True
-    finish: Optional[Callable[[Scalar], Scalar]] = None
-    constant: bool = False  # degenerate family: every convergent equals finish(head)
+    mobius: tuple = IDENTITY
+    constant: bool = False  # degenerate family: every convergent equals M(head)
     params: dict = field(default_factory=dict)
-
-    def _value(self, attr: Any) -> Scalar:
-        return attr() if callable(attr) else attr
-
-    def head_value(self) -> Scalar:
-        return self._value(self.head)
-
-    def finish_value(self, w: Scalar) -> Scalar:
-        if self.finish is not None:
-            return self.finish(w)
-        return self._value(self.prefix) + self._value(self.scale) * w
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class Convergent:
     """Raw P_k, Q_k plus the finished (reduced) expansion value.
 
     ``value`` is None when the convergent is singular (Q_k = 0 or the
-    finisher hit a vanishing denominator); evaluation continues past it.
+    Moebius image has a vanishing denominator); evaluation continues past it.
     """
 
     k: int
@@ -125,31 +123,40 @@ class Convergent:
     value: Optional[Scalar]
 
 
+def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple[int, Scalar, Scalar, Scalar]]:
+    """Yield (k, P_k, Q_k, a_k) for k = 0, 1, ..., with a_0 = 1.  A constant
+    spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step is zero."""
+    if spec.constant:
+        yield from ((k, spec.head, 1, 0 if k else 1) for k in itertools.count())
+    state = ConvergentState.initial(spec.head)
+    a_k = 1
+    while True:
+        yield state.k, state.p_cur, state.q_cur, a_k
+        a_k = spec.rule.a(state.k + 1)
+        state = euler_wallis_step(state, a_k, spec.rule.b(state.k + 1))
+
+
+def _image(m: tuple, p: Scalar, q: Scalar) -> tuple[Scalar, Scalar]:
+    """Numerator and denominator of M(p/q), without dividing."""
+    if m == IDENTITY:
+        return p, q
+    alpha, beta, gamma, delta = m
+    return alpha * p + beta * q, gamma * p + delta * q
+
+
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    """Exact num/den: a reduced Fraction, or a ComplexParam off the real line."""
+    if isinstance(num, ComplexParam) or isinstance(den, ComplexParam):
+        return num / den
+    return Fraction(num, den)
+
+
 def iter_convergents(spec: ExpansionSpec) -> Iterator[Convergent]:
     """Yield convergents 0, 1, 2, ... of ``spec`` indefinitely."""
-    if spec.constant:
-        k = 0
-        v = spec.finish_value(spec.head_value())
-        while True:
-            yield Convergent(k, v, 1, v)
-            k += 1
-    state = ConvergentState.initial(spec.head_value())
-    while True:
-        yield _finish(spec, state)
-        state = euler_wallis_step(state, spec.rule.a(state.k + 1), spec.rule.b(state.k + 1))
-
-
-def _finish(spec: ExpansionSpec, state: ConvergentState) -> Convergent:
-    try:
-        if state.q_cur == 0:
-            raise ZeroDivisionError
-        w = state.p_cur / state.q_cur
-        if isinstance(state.p_cur, int) and isinstance(state.q_cur, int):
-            w = Fraction(state.p_cur, state.q_cur)
-        value = spec.finish_value(w)
-    except ZeroDivisionError:
-        value = None
-    return Convergent(state.k, state.p_cur, state.q_cur, value)
+    for k, p, q, _ in _raw_convergents(spec):
+        num, den = _image(spec.mobius, p, q)
+        value = None if q == 0 or den == 0 else _quotient(num, den)
+        yield Convergent(k, p, q, value)
 
 
 def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
@@ -163,12 +170,10 @@ def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
             return out
 
 
-def successive_difference(spec: ExpansionSpec, k: int) -> Fraction:
-    """C_k - C_{k-1} in lowest terms; exact rings only."""
+def successive_difference(spec: ExpansionSpec, k: int) -> Scalar:
+    """C_k - C_{k-1} in lowest terms."""
     if k < 1:
         raise ParameterError("difference requires k >= 1")
-    if not spec.exact:
-        raise ParameterError("successive_difference requires an exact-ring spec")
     convs = convergents(spec, k)
     a, b = convs[k - 1].value, convs[k].value
     if a is None or b is None:
@@ -233,44 +238,59 @@ def estimate_limit(
     """Iterate convergents until two consecutive steps move by < 10^-digits.
 
     The stopping test is |C_k - C_{k-1}| < 10^-target_digits * max(1, |C_k|)
-    at two consecutive depths.  Exact specs compare exact rationals; float
-    specs run once at guard precision and once at doubled guard precision and
-    must agree (two-precision policy).
+    at two consecutive depths.  With C_k = num_k/den_k and the determinant
+    identity it reads |det M a_1...a_k| 10^d < |den_{k-1}| max(|den_k|, |num_k|),
+    decided exactly on squared magnitudes (no square root for Gaussian values).
+
+    Returns the reduced Fraction of a real limit; a non-real limit is rounded
+    once to an mpc at target_digits + max(10, target_digits // 4) digits.
     """
     cap = max_depth if max_depth is not None else depth_cap()
-    if spec.exact:
-        threshold = Fraction(1, 10**target_digits)
-        return _estimate(spec, threshold, cap, lambda v: abs(v))
-    guard = max(10, target_digits // 4)
-    with mp.workdps(target_digits + guard):
-        lo, depth = _estimate(spec, mpf(10) ** (-target_digits), cap, abs)
-    with mp.workdps(target_digits + 2 * guard):
-        hi, depth = _estimate(spec, mpf(10) ** (-target_digits), cap, abs)
-        if abs(hi - lo) > mpf(10) ** (-(target_digits - 2)) * max(1, abs(hi)):
-            raise NonConvergenceError(
-                f"two-precision runs of {spec.name} disagree at {target_digits} digits"
-            )
-    return hi, depth
-
-
-def _estimate(spec, threshold, cap, absval):
-    prev_value = None
+    tol = 100**target_digits  # 10^d, squared
+    alpha, beta, gamma, delta = spec.mobius
+    step2 = _norm2(alpha * delta - beta * gamma)  # |D_k|^2, once a_k is in
+    den_prev = None  # den_{k-1}, or None after a singular convergent
     small_streak = 0
-    for conv in iter_convergents(spec):
-        if conv.k > cap:
-            raise NonConvergenceError(
-                f"{spec.name} did not converge within depth {cap}"
-            )
-        v = conv.value
-        if v is None:
-            prev_value = None
+    for k, p, q, a_k in _raw_convergents(spec):
+        if k > cap:
+            raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
+        step2 *= _norm2(a_k)
+        num, den = _image(spec.mobius, p, q)
+        if q == 0 or den == 0:
+            den_prev = None
             small_streak = 0
             continue
-        if prev_value is not None:
-            if absval(v - prev_value) < threshold * max(1, absval(v)):
+        if den_prev is not None:
+            if _less(step2, tol, den_prev, num, den):
                 small_streak += 1
                 if small_streak >= 2:
-                    return v, conv.k
+                    break
             else:
                 small_streak = 0
-        prev_value = v
+        den_prev = den
+    value = _quotient(num, den)
+    if not isinstance(value, ComplexParam):
+        return value, k
+    with mp.workdps(target_digits + max(10, target_digits // 4)):
+        return value.to_mp(), k
+
+
+def _norm2(x: Scalar) -> Scalar:
+    return x.norm2() if isinstance(x, ComplexParam) else x * x
+
+
+def _log2(x: Scalar) -> float:
+    """e with 2^(e-1) < |x| < 2^(e+2), from bit lengths only; -inf for 0."""
+    if isinstance(x, ComplexParam):
+        return max(_log2(x.re), _log2(x.im))
+    return x.numerator.bit_length() - x.denominator.bit_length() if x else -math.inf
+
+
+def _less(step2: Scalar, tol: int, den_prev: Scalar, num: Scalar, den: Scalar) -> bool:
+    """step2 * tol < |den_prev|^2 max(|num|^2, |den|^2), exactly: bit lengths
+    decide unless the two sides are within a few bits of each other."""
+    lhs = _log2(step2) + _log2(tol)
+    rhs = 2 * (_log2(den_prev) + max(_log2(num), _log2(den)))
+    if abs(lhs - rhs) >= 10:
+        return lhs < rhs
+    return step2 * tol < _norm2(den_prev) * max(_norm2(num), _norm2(den))

@@ -1,10 +1,10 @@
 """Constructors for every continued-fraction family handled by the library.
 
-Integer-parameter families run end-to-end in the exact rational ring, so
-identity checks against them are exact equalities.  Families with a free
-complex parameter store it exactly (as :class:`ComplexParam`) and materialize
-coefficients at the ambient mpmath precision; rational real parameters stay
-in the exact ring.
+Every family runs in one exact ring, so identity checks against them are
+exact equalities.  A free complex parameter is stored exactly (as
+:class:`ComplexParam`) and its ``value`` (a Fraction when real, else the
+Gaussian rational itself) enters the coefficient rules directly.  Finishers
+are Moebius matrices (:func:`~cfx.engine.mobius`).
 
 The rational-exponent family deserves a note.  The printed closed form for
 e^{l/n} scales the inner fraction K by n inside the bracket denominator, but
@@ -16,8 +16,8 @@ identity in its derivation shows the factor must be (n-1)^2/n:
 
 with c = l^{l-1}/(n^{l-1}(l-1)!) and K the fraction with
 a_m = -l n (m-1+l), b_m = n(m+1) + (n+1) l.  This module implements the
-corrected form; the verification suite confirms it against the series oracle
-for every admissible (l, n).
+corrected form, folded into one Moebius matrix; the verification suite
+confirms it against the series oracle for every admissible (l, n).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .engine import CoefficientRule, ExpansionSpec, convergents
+from .engine import CoefficientRule, ExpansionSpec, convergents, mobius
 from .kernel import ComplexParam, DomainError, ParameterError, arg_in_cut_plane, factorial
 
 FAMILY_IDS = (
@@ -66,8 +66,7 @@ def make_exp_n(n: int) -> ExpansionSpec:
         name=f"exp-n(n={n})",
         head=1 + n,
         rule=CoefficientRule(a=lambda m: -n * (m + n - 1), b=lambda m: m + 2 * n + 1),
-        prefix=prefix,
-        scale=scale,
+        mobius=mobius(scale, prefix),
         params={"n": n},
     )
 
@@ -90,24 +89,13 @@ def shifted_tail(n: int):
     return lambda j: Fraction(-(j + n + 1) * (j + 2), j + 1)
 
 
-def _complex_cf_spec(name: str, z: ComplexParam, exact_ok: bool = True) -> ExpansionSpec:
-    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1)); exact ring when z is rational."""
-    if exact_ok and z.is_real:
-        zr = z.as_fraction()
-        return ExpansionSpec(
-            name=name,
-            head=1 + zr,
-            rule=CoefficientRule(a=lambda m: -zr * (m + zr - 1), b=lambda m: m + 2 * zr + 1),
-            params={"z": z},
-        )
+def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
+    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1))."""
+    zv = z.value
     return ExpansionSpec(
         name=name,
-        head=lambda: 1 + z.to_mp(),
-        rule=CoefficientRule(
-            a=lambda m: -z.to_mp() * (m + z.to_mp() - 1),
-            b=lambda m: m + 2 * z.to_mp() + 1,
-        ),
-        exact=False,
+        head=1 + zv,
+        rule=CoefficientRule(a=lambda m: -zv * (m + zv - 1), b=lambda m: m + 2 * zv + 1),
         params={"z": z},
     )
 
@@ -115,7 +103,7 @@ def _complex_cf_spec(name: str, z: ComplexParam, exact_ok: bool = True) -> Expan
 def make_inc_gamma(z) -> ExpansionSpec:
     """gamma(z,z)/(z^{z-1} e^{-z}) = 1 + z + K(-z(m+z-1)/(m+2z+1)) on the cut plane."""
     z = ComplexParam.coerce(z)
-    if z.is_zero or not arg_in_cut_plane(z):
+    if not arg_in_cut_plane(z):
         raise DomainError(f"z = {z} is not in the cut plane")
     return _complex_cf_spec(f"inc-gamma(z={z})", z)
 
@@ -123,7 +111,7 @@ def make_inc_gamma(z) -> ExpansionSpec:
 def make_confluent_1f1(z) -> ExpansionSpec:
     """1F1(1; z+1; z), same fraction as the incomplete-gamma family."""
     z = ComplexParam.coerce(z)
-    if z.is_zero or not arg_in_cut_plane(z):
+    if not arg_in_cut_plane(z):
         raise DomainError(f"z = {z} is not in the cut plane")
     spec = _complex_cf_spec(f"confluent-1f1(z={z})", z)
     return spec
@@ -140,39 +128,28 @@ def make_m_fraction(b, z) -> ExpansionSpec:
     z = ComplexParam.coerce(z)
     if b.is_real and b.re <= 0 and b.re.denominator == 1:
         raise ParameterError(f"b = {b} is a non-positive integer")
-    if z.is_zero:
+    if z == 0:
         # 1F1(1; b+1; 0) = 1: no K terms remain.
         return ExpansionSpec(
             name=f"m-fraction(b={b},z=0)", head=1, rule=None, constant=True,
             params={"b": b, "z": z},
         )
-    name = f"m-fraction(b={b},z={z})"
-    if b.is_real and z.is_real:
-        br, zr = b.as_fraction(), z.as_fraction()
+    bv, zv = b.value, z.value
 
-        def a(m: int):
-            return br if m == 1 else (m - 1) * zr
+    def a(m: int):
+        return bv if m == 1 else (m - 1) * zv
 
-        def bb(m: int):
-            return br - zr if m == 1 else br + (m - 1) - zr
+    def bb(m: int):
+        return bv - zv if m == 1 else bv + (m - 1) - zv
 
-        return ExpansionSpec(name=name, head=0, rule=CoefficientRule(a=a, b=bb),
-                             params={"b": b, "z": z})
-
-    def a_f(m: int):
-        return b.to_mp() if m == 1 else (m - 1) * z.to_mp()
-
-    def b_f(m: int):
-        return b.to_mp() - z.to_mp() if m == 1 else b.to_mp() + (m - 1) - z.to_mp()
-
-    return ExpansionSpec(name=name, head=0, rule=CoefficientRule(a=a_f, b=b_f),
-                         exact=False, params={"b": b, "z": z})
+    return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
+                         rule=CoefficientRule(a=a, b=bb), params={"b": b, "z": z})
 
 
 def make_m_fraction_diagonal(z) -> ExpansionSpec:
     """The b = z specialization of the M-fraction, valid on the cut plane."""
     z = ComplexParam.coerce(z)
-    if z.is_zero or not arg_in_cut_plane(z):
+    if not arg_in_cut_plane(z):
         raise DomainError(f"z = {z} is not in the cut plane")
     spec = make_m_fraction(z, z)
     return replace(spec, name=f"m-fraction-diagonal(z={z})")
@@ -187,10 +164,7 @@ def make_rat_exp(l: int, n: int) -> ExpansionSpec:
     base = Fraction(1, n * (n - 1))
     shift = Fraction((n - 1) * (n + l * (n - 1)))
     cf_coeff = Fraction((n - 1) ** 2, n)
-
-    def finish(w):
-        return prefix + scale * (base - 1 / (shift + cf_coeff * w))
-
+    # prefix + scale * (base - 1/(shift + cf_coeff * w)) as one matrix.
     return ExpansionSpec(
         name=f"rat-exp(l={l},n={n})",
         head=0,
@@ -198,7 +172,12 @@ def make_rat_exp(l: int, n: int) -> ExpansionSpec:
             a=lambda m: -l * n * (m - 1 + l),
             b=lambda m: n * (m + 1) + (n + 1) * l,
         ),
-        finish=finish,
+        mobius=mobius(
+            cf_coeff * (scale * base + prefix),
+            scale * (base * shift - 1) + prefix * shift,
+            cf_coeff,
+            shift,
+        ),
         params={"l": l, "n": n},
     )
 
@@ -207,14 +186,7 @@ def make_exp_inv_n(n: int) -> ExpansionSpec:
     """e^{1/n} for n > 2: the l = 1 specialization of the rational family."""
     if n <= 2:
         raise ParameterError("exp-inv-n requires n > 2")
-    spec = make_rat_exp(1, n)
-    return ExpansionSpec(
-        name=f"exp-inv-n(n={n})",
-        head=spec.head,
-        rule=spec.rule,
-        finish=spec.finish,
-        params={"n": n},
-    )
+    return replace(make_rat_exp(1, n), name=f"exp-inv-n(n={n})", params={"n": n})
 
 
 def _regular(pattern_fn) -> CoefficientRule:
@@ -306,24 +278,14 @@ def same_convergents(
     spec_a: ExpansionSpec,
     spec_b: ExpansionSpec,
     depth: int,
-    tol=None,
 ) -> tuple[bool, Optional[int]]:
-    """Compare reduced convergent values at depths 0..depth.
+    """Compare reduced convergent values at depths 0..depth, exactly.
 
     Returns (True, None) on full agreement, else (False, first_index).
-    Exact rings compare exactly; pass ``tol`` for float rings.
     """
     ca = convergents(spec_a, depth)
     cb = convergents(spec_b, depth)
     for k in range(depth + 1):
-        va, vb = ca[k].value, cb[k].value
-        if va is None or vb is None:
-            if va is not vb:
-                return False, k
-            continue
-        if tol is None:
-            if va != vb:
-                return False, k
-        elif abs(va - vb) > tol * max(1, abs(va)):
+        if ca[k].value != cb[k].value:
             return False, k
     return True, None

@@ -1,11 +1,11 @@
 """Executable checks for the closed-form structural claims.
 
 Each check produces a :class:`VerificationReport`.  Exact-ring claims are
-checked by exact equality, never tolerances; float-ring claims state how many
-digits of the working precision must agree.  The printed difference table
-contains one wrong entry (-1/784 where exact subtraction gives -1/288); the
-difference check reports -1/288 and records the discrepancy as a note rather
-than failing.
+checked by exact equality, never tolerances; claims checked against float
+oracles state how many digits of the working precision must agree.  The
+printed difference table one wrong entry (-1/784 where exact subtraction gives -1/288); the difference
+check reports -1/288 and records the discrepancy as a note rather than
+failing.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def check_lemma23(z: ComplexParam, digits: int = 40, agree: int = 35) -> Verific
     """2F2(1,1;3,z+2;z) = (2(z+1)/z^2)(1 + z - gamma(z,z)/(z^{z-1}e^{-z}))."""
     with mp.workdps(digits + 15):
         zv = z.to_mp()
-        lhs = oracle.hyp_2f2(1, 1, 3, _shift(z, 2), z, digits).value
+        lhs = oracle.hyp_2f2(1, 1, 3, z + 2, z, digits).value
         g = oracle.inc_gamma_normalized(z, digits).value
         rhs = 2 * (zv + 1) / zv**2 * (1 + zv - g)
         ok = _agree_digits(lhs, rhs, agree)
@@ -301,7 +301,7 @@ def check_thm31(z: ComplexParam, digits: int = 40, agree: int = 30) -> Verificat
     value, depth = estimate_limit(spec, digits)
     with mp.workdps(digits + 15):
         target = oracle.inc_gamma_normalized(z, digits).value
-        f1_value = oracle.hyp_1f1(_shift(z, 1), z, digits).value
+        f1_value = oracle.hyp_1f1(z + 1, z, digits).value
         ok = _agree_digits(to_mp(value), target, agree)
         ok = ok and _agree_digits(f1_value, target, agree)
         diff = mp.nstr(abs(to_mp(value) - target), 5)
@@ -353,11 +353,13 @@ def check_rational_integral(l: int, n: int, digits: int = 25) -> VerificationRep
 def check_beta_integral(n: int, digits: int = 25) -> VerificationReport:
     """int_0^1 (1-t)^{n-1} e^{tn} dt = (1/n)(1 + n + K), quadrature vs fraction."""
     lhs = oracle.beta_exp_integral(n, digits)
-    cf_value, depth = estimate_limit(make_exp_n(n), digits + 5)
     spec = make_exp_n(n)
+    cf_value, depth = estimate_limit(spec, digits + 5)
     with mp.workdps(digits + 15):
-        # Unwrap prefix/scale: (1/n)(1+n+K) = (C - prefix)/(scale * n).
-        inner = (cf_value - spec.prefix) / spec.scale
+        # Invert the affine finisher C = (alpha w + beta)/delta:
+        # (1/n)(1+n+K) = w/n = (C delta - beta)/(alpha n).
+        alpha, beta, _, delta = spec.mobius
+        inner = (cf_value * delta - beta) / alpha
         rhs = to_mp(inner) / n
         ok = _agree_digits(lhs, rhs, digits - 3)
         diff = mp.nstr(abs(lhs - rhs), 5)
@@ -408,10 +410,6 @@ def check_nonequivalence(depth: int = 10, digits: int = 25) -> VerificationRepor
         passed=all_differ and limits_ok,
         witness={"first_differing_index": pair_results},
     )
-
-
-def _shift(z: ComplexParam, k: int) -> ComplexParam:
-    return ComplexParam(z.re + k, z.im)
 
 
 def run_suite(

@@ -1,9 +1,9 @@
 """Arbitrary-precision arithmetic substrate.
 
-Exact values live in Python ints and ``fractions.Fraction``; inexact real and
-complex values live in mpmath ``mpf``/``mpc`` under an explicit
-:class:`PrecisionContext`.  Nothing in here mutates global state permanently:
-precision is always applied through ``mp.workdps`` scopes.
+The engine runs in one exact ring: Python ints, ``fractions.Fraction`` and
+the Gaussian rationals of :class:`ComplexParam`.  mpmath ``mpf``/``mpc``
+values appear only when an exact value is rounded (:func:`to_mp`, at the
+caller's ambient precision) for output or for comparison with an oracle.
 """
 
 from __future__ import annotations
@@ -12,19 +12,16 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 # Type aliases for the exact side.  Python ints are already sign+magnitude
 # arbitrary precision and Fraction keeps den > 0, gcd(num, den) = 1.
 BigInt = int
 BigRational = Fraction
 
-HighPrecReal = mpf
-HighPrecComplex = mpc
-
-Scalar = Union[int, Fraction, mpf, mpc]
+Scalar = Union[int, Fraction, "ComplexParam", mpf, mpc]
 
 
 class CFXError(Exception):
@@ -53,12 +50,7 @@ class NonConvergenceError(CFXError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Decimal working precision plus guard digits for error control.
-
-    Float results are accepted only when a run at ``working_digits`` guard
-    precision agrees with a run at doubled guard precision; see
-    :func:`eval_two_precision`.
-    """
+    """Decimal working precision plus guard digits for error control."""
 
     working_digits: int = 30
     guard_digits: int = 10
@@ -68,28 +60,6 @@ class PrecisionContext:
             raise ParameterError("working_digits must be >= 10")
         if self.guard_digits < 5:
             raise ParameterError("guard_digits must be >= 5")
-
-    def workdps(self, extra: int = 0):
-        """mpmath context manager at working + guard (+ extra) digits."""
-        return mp.workdps(self.working_digits + self.guard_digits + extra)
-
-
-def eval_two_precision(fn: Callable[[], Scalar], ctx: PrecisionContext) -> Scalar:
-    """Evaluate ``fn`` twice, at guard and doubled-guard precision.
-
-    Returns the higher-precision value; raises :class:`PrecisionError` if the
-    two runs disagree beyond working_digits - 2 digits.
-    """
-    with ctx.workdps():
-        lo = fn()
-    with ctx.workdps(ctx.guard_digits):
-        hi = fn()
-        tol = mpf(10) ** (-(ctx.working_digits - 2))
-        if abs(hi - lo) > tol * max(1, abs(hi)):
-            raise PrecisionError(
-                f"results disagree at {ctx.working_digits} digits: {lo} vs {hi}"
-            )
-    return hi
 
 
 def factorial(k: int) -> BigInt:
@@ -120,14 +90,70 @@ _COMPLEX_RE = _re.compile(
 
 @dataclass(frozen=True)
 class ComplexParam:
-    """Exact rectangular complex parameter.
-
-    Families that evaluate in the float ring store their parameter in this
-    form so coefficient rules can be re-materialized at any precision.
-    """
+    """Exact rectangular complex number, a Gaussian rational: ``+ - * /`` with
+    a ComplexParam, int or Fraction stay exact, and with ``im == 0`` it equals
+    (and hashes like) its real part, so one engine serves real and complex z."""
 
     re: Fraction
     im: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        if isinstance(other, ComplexParam):
+            return ComplexParam(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return ComplexParam(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ComplexParam":
+        return ComplexParam(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, ComplexParam):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return ComplexParam(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return ComplexParam(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, ComplexParam):
+            n = other.norm2()
+            return self * ComplexParam(other.re / n, -other.im / n)
+        if isinstance(other, (int, Fraction)):
+            return ComplexParam(self.re / other, self.im / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return ComplexParam(other) / self
+
+    def __eq__(self, other):
+        if isinstance(other, ComplexParam):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def norm2(self) -> Fraction:
+        """|z|^2 = re^2 + im^2, exact."""
+        return self.re * self.re + self.im * self.im
+
+    @property
+    def value(self) -> "Fraction | ComplexParam":
+        """The number as a ring element: its real part when real, else itself."""
+        return self.re if self.im == 0 else self
 
     @staticmethod
     def parse(text: str) -> "ComplexParam":
@@ -156,15 +182,6 @@ class ComplexParam:
     def is_real(self) -> bool:
         return self.im == 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_real:
-            raise ParameterError(f"{self} is not real")
-        return self.re
-
     def to_mp(self) -> Scalar:
         """mpf/mpc at the ambient mpmath precision."""
         re_v = mpf(self.re.numerator) / self.re.denominator
@@ -189,7 +206,7 @@ def arg_in_cut_plane(z, ctx: PrecisionContext | None = None) -> bool:
     ctx = ctx or PrecisionContext()
     z = ComplexParam.coerce(z) if isinstance(z, (ComplexParam, Fraction, int, complex, str)) else z
     if isinstance(z, ComplexParam):
-        if z.is_zero:
+        if z == 0:
             raise DomainError("z = 0 is not in the cut plane")
         if z.re >= 0:
             return True

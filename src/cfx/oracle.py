@@ -86,7 +86,7 @@ def lower_inc_gamma(s, x, digits: int) -> SeriesResult:
     x = ComplexParam.coerce(x)
     if _is_nonpositive_integer(s):
         raise ParameterError(f"s = {s} is a non-positive integer")
-    if x.is_zero or not arg_in_cut_plane(x):
+    if x == 0 or not arg_in_cut_plane(x):
         raise DomainError(f"x = {x} is not in the cut plane")
     with mp.workdps(digits + _GUARD):
         sv, xv = s.to_mp(), x.to_mp()
@@ -111,7 +111,7 @@ def inc_gamma_normalized(z, digits: int) -> SeriesResult:
     cancel, so no branch choices enter.
     """
     z = ComplexParam.coerce(z)
-    if z.is_zero or not arg_in_cut_plane(z):
+    if not arg_in_cut_plane(z):
         raise DomainError(f"z = {z} is not in the cut plane")
     with mp.workdps(digits + _GUARD):
         zv = z.to_mp()

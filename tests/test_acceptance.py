@@ -232,7 +232,7 @@ def test_criterion_13_property_suites(capsys):
     ok = True
     # Euler-Wallis determinant identity, exact to k = 200.
     for spec in (make_e_euler(), make_exp_n(3)):
-        state = ConvergentState.initial(spec.head_value())
+        state = ConvergentState.initial(spec.head)
         prod = 1
         for k in range(1, 201):
             a_k, b_k = spec.rule.a(k), spec.rule.b(k)

@@ -179,6 +179,49 @@ def test_depth_cap_env_override(capsys, monkeypatch):
     assert "depth cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_depth_cap_env_invalid_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("CFX_MAX_DEPTH", value)
+    status, out, err = run_cli(
+        capsys, "eval", "--expansion", "e-euler", "--digits", "30"
+    )
+    assert status == 2
+    assert "usage error" in err and "CFX_MAX_DEPTH" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("digits", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--expansion", "e-euler"],
+        ["convergents", "--expansion", "e-euler"],
+        ["diff-table", "--n", "1"],
+        ["verify", "--suite", "diff"],
+        ["compare", "--value", "e", "--expansions", "e-euler"],
+    ],
+)
+def test_nonpositive_digits_exit_2(capsys, command, digits):
+    status, out, err = run_cli(capsys, *command, "--digits", digits)
+    assert status == 2
+    assert "--digits" in err
+    assert out == ""
+
+
+def test_convergents_complex_parameter_exact(capsys):
+    status, out, _ = run_cli(
+        capsys,
+        "convergents", "--expansion", "inc-gamma", "--z", "1+1i", "--depth", "1",
+        "--digits", "10", "--format", "json",
+    )
+    assert status == 0
+    rows = json.loads(out)["rows"]
+    # P_0 = 1 + z; P_1 = b_1 P_0 + a_1 with a_1 = -z^2 = -2i, b_1 = 2 + 2z.
+    assert [r["p_raw"] for r in rows] == ["2+1i", "6+6i"]
+    assert rows[1]["q_raw"] == "4+2i"
+    assert rows[1]["value"] == "9/5+3/5i"
+
+
 def test_no_command_exit_2(capsys):
     status, _, _ = run_cli(capsys)
     assert status == 2

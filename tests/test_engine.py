@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from cfx.engine import (
     ConvergentState,
@@ -11,6 +11,7 @@ from cfx.engine import (
     CoefficientRule,
     TailSequence,
     convergents,
+    depth_cap,
     equivalence_transform,
     estimate_limit,
     euler_wallis_step,
@@ -18,8 +19,17 @@ from cfx.engine import (
     unshift_first_step,
     waadeland_limit,
 )
-from cfx.families import make_e_euler, make_exp_n, make_exp_n_shifted, shifted_tail
-from cfx.kernel import NonConvergenceError, ParameterError, SingularError
+from cfx.families import (
+    make_e_euler,
+    make_exp_n,
+    make_exp_n_shifted,
+    make_family,
+    make_inc_gamma,
+    make_m_fraction,
+    make_m_fraction_diagonal,
+    shifted_tail,
+)
+from cfx.kernel import ComplexParam, NonConvergenceError, ParameterError, SingularError
 from cfx.oracle import exp_series, hyp_2f2
 
 E_EULER_TABLE = [
@@ -65,7 +75,7 @@ def test_euler_wallis_rejects_zero_numerator():
 
 def test_determinant_identity_exact_to_200():
     for spec in (make_e_euler(), make_exp_n(3)):
-        state = ConvergentState.initial(spec.head_value())
+        state = ConvergentState.initial(spec.head)
         prod = 1
         for k in range(1, 201):
             a_k, b_k = spec.rule.a(k), spec.rule.b(k)
@@ -203,6 +213,116 @@ def test_estimate_limit_depth_cap(monkeypatch):
     monkeypatch.setenv("CFX_MAX_DEPTH", "5")
     with pytest.raises(NonConvergenceError):
         estimate_limit(make_e_euler(), 30)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+def test_depth_cap_env_must_be_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("CFX_MAX_DEPTH", value)
+    with pytest.raises(ParameterError):
+        depth_cap()
+
+
+def _reference_limit(spec, digits):
+    """The earlier limit loop: reduce every convergent to a Fraction, then stop
+    after two consecutive steps below 10^-digits * max(1, |C_k|)."""
+    alpha, beta, gamma, delta = spec.mobius
+    threshold = Fraction(1, 10**digits)
+    p_prev, p, q_prev, q = 1, spec.head, 0, 1
+    prev, streak, k = None, 0, 0
+    while True:
+        value = None
+        if q != 0:
+            w = Fraction(p, q)
+            if gamma * w + delta != 0:
+                value = (alpha * w + beta) / (gamma * w + delta)
+        if value is None:
+            prev, streak = None, 0
+        else:
+            if prev is not None:
+                if abs(value - prev) < threshold * max(1, abs(value)):
+                    streak += 1
+                    if streak == 2:
+                        return value, k
+                else:
+                    streak = 0
+            prev = value
+        k += 1
+        a, b = spec.rule.a(k), spec.rule.b(k)
+        p_prev, p = p, b * p + a * p_prev
+        q_prev, q = q, b * q + a * q_prev
+
+
+EXACT_FAMILIES = [
+    ("e-euler", {}),
+    ("exp-n", {"n": 1}),
+    ("exp-n", {"n": 4}),
+    ("exp-n-shifted", {"n": 2}),
+    ("inc-gamma", {"z": Fraction(1, 2)}),
+    ("confluent-1f1", {"z": 3}),
+    ("m-fraction", {"b": 2, "z": 1}),
+    ("m-fraction", {"b": Fraction(1, 2), "z": Fraction(-3, 2)}),
+    ("m-fraction-diagonal", {"z": Fraction(7, 2)}),
+    ("rat-exp", {"l": 2, "n": 3}),
+    ("rat-exp", {"l": 3, "n": 7}),
+    ("exp-inv-n", {"n": 4}),
+    ("e-regular", {}),
+    ("e-over", {}),
+    ("e-sporadic", {}),
+    ("e-squared", {}),
+    ("e-one-over-M", {"M": 3}),
+]
+
+
+@pytest.mark.parametrize("digits", [10, 100, 1000])
+@pytest.mark.parametrize("family,params", EXACT_FAMILIES)
+def test_estimate_limit_matches_reference_loop(family, params, digits):
+    spec = make_family(family, **params)
+    value, depth = estimate_limit(spec, digits)
+    assert type(value) is Fraction
+    assert (value, depth) == _reference_limit(spec, digits)
+
+
+@pytest.mark.parametrize("singular_at", [3, 15, 16])
+def test_estimate_limit_singular_step_resets_streak(singular_at):
+    # b_m = 2 except one b_K chosen so that Q_K = 0, near where steps get small.
+    q_prev, q = 0, 1
+    for _ in range(1, singular_at):
+        q_prev, q = q, 2 * q + q_prev
+    b_k = Fraction(-q_prev, q)
+    spec = ExpansionSpec(
+        name="singular-deep",
+        head=0,
+        rule=CoefficientRule(a=lambda m: 1, b=lambda m: b_k if m == singular_at else 2),
+    )
+    assert convergents(spec, singular_at)[singular_at].value is None
+    assert estimate_limit(spec, 10) == _reference_limit(spec, 10)
+
+
+def test_estimate_limit_constant_family():
+    # Every step of the z = 0 M-fraction is zero: two small steps at depth 2.
+    assert estimate_limit(make_m_fraction(3, 0), 50) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec,b,z",
+    [
+        (make_inc_gamma("2+3i"), None, "2+3i"),
+        (make_inc_gamma("-1.5+2i"), None, "-1.5+2i"),
+        (make_m_fraction_diagonal("-2+0.5i"), None, "-2+0.5i"),
+        (make_m_fraction("1.5-1i", "2+3i"), "1.5-1i", "2+3i"),
+        (make_m_fraction("0.75+2i", "-2.5-1i"), "0.75+2i", "-2.5-1i"),
+        (make_m_fraction("3", "-1+0.25i"), "3", "-1+0.25i"),
+    ],
+)
+def test_estimate_limit_complex_matches_hyp1f1(spec, b, z):
+    digits = 300
+    value, depth = estimate_limit(spec, digits)
+    assert isinstance(value, mpc)
+    with mp.workdps(digits + 20):
+        zv = ComplexParam.parse(z).to_mp()
+        bv = zv if b is None else ComplexParam.parse(b).to_mp()
+        target = mp.hyp1f1(1, bv + 1, zv)
+        assert abs(value - target) <= mpf(10) ** -(digits - 2) * max(1, abs(target))
 
 
 def test_singular_convergent_is_recorded_not_fatal():

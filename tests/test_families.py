@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from cfx.engine import convergents, estimate_limit
+from cfx.engine import convergents, estimate_limit, mobius
 from cfx.families import (
     FAMILY_IDS,
     make_classical,
@@ -18,7 +18,7 @@ from cfx.families import (
     make_rat_exp,
     same_convergents,
 )
-from cfx.kernel import ComplexParam, DomainError, ParameterError, to_mp
+from cfx.kernel import ComplexParam, DomainError, ParameterError, factorial, to_mp
 from cfx.oracle import exp_series, hyp_1f1, inc_gamma_normalized
 
 
@@ -35,10 +35,10 @@ def test_exp_n_1_equals_e_euler_to_depth_100():
 
 def test_exp_n_coefficients_match_documented_rule():
     spec = make_exp_n(3)
-    assert spec.head_value() == 4
+    assert spec.head == 4
     assert spec.rule.a(1) == -9 and spec.rule.b(1) == 8
-    assert spec.prefix == 1 + 3 + Fraction(9, 2)
-    assert spec.scale == Fraction(9, 2)
+    # prefix + scale * w with prefix = 1 + 3 + 9/2 and scale = 9/2
+    assert spec.mobius == mobius(Fraction(9, 2), 1 + 3 + Fraction(9, 2))
 
 
 def test_exp_n_limits_match_oracle():
@@ -62,6 +62,18 @@ def test_rat_exp_limits_match_oracle():
     with mp.workdps(45):
         for l, n in ((1, 2), (1, 3), (2, 3), (3, 5)):
             _limit_close(make_rat_exp(l, n), exp_series(Fraction(l, n), 35).value, digits=28)
+
+
+def test_rat_exp_mobius_matches_bracket():
+    # The printed two-level bracket, evaluated directly, against the matrix.
+    for l, n in ((1, 2), (1, 3), (2, 3), (3, 5)):
+        prefix = sum(Fraction(l**k, factorial(k) * n**k) for k in range(l + 1))
+        scale = Fraction(l ** (l - 1), n ** (l - 1) * factorial(l - 1))
+        shift, cf_coeff = (n - 1) * (n + l * (n - 1)), Fraction((n - 1) ** 2, n)
+        alpha, beta, gamma, delta = make_rat_exp(l, n).mobius
+        for w in (Fraction(0), Fraction(-7, 3), Fraction(5, 11)):
+            bracket = prefix + scale * (Fraction(1, n * (n - 1)) - 1 / (shift + cf_coeff * w))
+            assert (alpha * w + beta) / (gamma * w + delta) == bracket
 
 
 def test_rat_exp_rejects_bad_params():
@@ -115,7 +127,7 @@ def test_classical_rejects_bad_m():
 
 def test_inc_gamma_real_is_exact_ring():
     spec = make_inc_gamma(Fraction(1))
-    assert spec.exact
+    assert isinstance(estimate_limit(spec, 25)[0], Fraction)
     convs = convergents(spec, 3)
     assert convs[0].value == 2
     with mp.workdps(40):
@@ -125,7 +137,9 @@ def test_inc_gamma_real_is_exact_ring():
 def test_inc_gamma_complex_matches_oracle():
     z = ComplexParam.parse("1+1i")
     spec = make_inc_gamma(z)
-    assert not spec.exact
+    convs = convergents(spec, 3)
+    assert all(isinstance(c.value, ComplexParam) for c in convs)
+    assert convs[0].value == ComplexParam(Fraction(2), Fraction(1))
     with mp.workdps(45):
         value, _ = estimate_limit(spec, 30)
         target = inc_gamma_normalized(z, 30).value

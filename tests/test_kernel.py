@@ -114,3 +114,43 @@ def test_complex_param_parsing():
 def test_complex_param_roundtrip_str():
     assert str(ComplexParam.parse("2+3i")) == "2+3i"
     assert str(ComplexParam.parse("-3")) == "-3"
+
+
+_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+_gaussian = st.builds(ComplexParam, _rationals, _rationals)
+
+
+@given(a=_gaussian, b=_gaussian, c=_gaussian, r=_rationals)
+@settings(max_examples=100, deadline=None)
+def test_complex_param_ring_identities(a, b, c, r):
+    zero = ComplexParam(Fraction(0))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a and a + (-a) == zero
+    assert (a * b).norm2() == a.norm2() * b.norm2()
+    # Mixed operands act as the embedded real number r + 0i.
+    rc = ComplexParam(r)
+    assert a + r == r + a == a + rc
+    assert a - r == a - rc and r - a == rc - a
+    assert a * r == r * a == a * rc
+    if b != 0:
+        assert (a * b) / b == a
+        assert r / b == rc / b
+    if r != 0:
+        assert a / r == a / rc
+
+
+@given(r=_rationals)
+@settings(max_examples=100, deadline=None)
+def test_complex_param_real_equality_and_hash(r):
+    z = ComplexParam(r)
+    assert z == r and r == z and hash(z) == hash(r)
+    assert z.value == r and type(z.value) is Fraction
+    assert {r: "hit"}[z] == "hit"
+    if r.denominator == 1:
+        assert z == int(r) and hash(z) == hash(int(r))
+    w = ComplexParam(r, Fraction(1, 3))
+    assert w != r and w.value is w
+    assert len({w, ComplexParam(r, Fraction(2, 6))}) == 1
