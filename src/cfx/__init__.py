@@ -41,7 +41,6 @@ from .kernel import (
     DomainError,
     NonConvergenceError,
     ParameterError,
-    PrecisionContext,
     PrecisionError,
     SingularError,
     arg_in_cut_plane,

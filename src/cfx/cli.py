@@ -6,7 +6,8 @@ JSON with identical numeric content.  Exact rationals are serialized as
 "num/den" digit strings (bare integer when the denominator is 1); decimal
 strings carry exactly the requested number of significant digits.
 
-Exit status contract: 0 success, 1 verification failure, 2 usage error,
+Exit status contract: 0 success, 1 verification failure or a value that
+could not be computed (depth cap, precision, singular), 2 usage error,
 3 domain error.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -23,8 +25,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from . import engine, families, identities, oracle
-from .kernel import ComplexParam, DomainError, NonConvergenceError, ParameterError, to_mp
+from . import engine, families, identities
+from .kernel import CFXError, ComplexParam, DomainError, NonConvergenceError, ParameterError, to_mp
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -34,29 +36,6 @@ EXIT_DOMAIN = 3
 DEFAULT_DIGITS = 30
 DEFAULT_DEPTH = 50
 
-# Constant label per family, used by `compare` to refuse mixed lists.
-def _constant_label(family_id: str, params: dict) -> str:
-    if family_id in ("e-euler", "e-regular", "e-over", "e-sporadic"):
-        return "e"
-    if family_id == "exp-n":
-        return "e" if params.get("n") == 1 else f"e^{params['n']}"
-    if family_id == "e-squared":
-        return "e^2"
-    if family_id == "e-one-over-M":
-        return f"e^(1/{params['M']})"
-    if family_id == "exp-inv-n":
-        return f"e^(1/{params['n']})"
-    if family_id == "rat-exp":
-        frac = Fraction(params["l"], params["n"])
-        return f"e^({frac.numerator}/{frac.denominator})"
-    if family_id in ("confluent-1f1", "m-fraction-diagonal", "inc-gamma"):
-        return "1f1-diag"
-    if family_id == "m-fraction":
-        return f"1f1(b={params['b']})"
-    if family_id == "exp-n-shifted":
-        return f"shifted({params['n']})"
-    return family_id
-
 
 def decimal_str(v, digits: int) -> str:
     """Decimal string with exactly ``digits`` significant digits."""
@@ -65,39 +44,18 @@ def decimal_str(v, digits: int) -> str:
         return mp.nstr(x, digits, strip_zeros=False)
 
 
-def _oracle_value(family_id: str, params: dict, digits: int):
-    """Independent series value of the family's target constant, or None."""
-    if family_id in ("e-euler", "e-regular", "e-over", "e-sporadic"):
-        return oracle.exp_series(1, digits).value
-    if family_id == "exp-n":
-        return oracle.exp_series(params["n"], digits).value
-    if family_id == "e-squared":
-        return oracle.exp_series(2, digits).value
-    if family_id == "e-one-over-M":
-        return oracle.exp_series(Fraction(1, params["M"]), digits).value
-    if family_id == "exp-inv-n":
-        return oracle.exp_series(Fraction(1, params["n"]), digits).value
-    if family_id == "rat-exp":
-        return oracle.exp_series(Fraction(params["l"], params["n"]), digits).value
-    if family_id in ("confluent-1f1", "inc-gamma", "m-fraction-diagonal"):
-        return oracle.inc_gamma_normalized(params["z"], digits).value
-    if family_id == "m-fraction":
-        b = ComplexParam.coerce(params["b"])
-        return oracle.hyp_1f1(b + 1, params["z"], digits).value
-    return None
-
-
-def _spec_params(args) -> dict:
-    params = {}
-    for key in ("n", "l", "M"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    for key in ("z", "b"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = ComplexParam.parse(v)
-    return params
+def _spec_params(args, family_ids: list[str]) -> tuple[dict, list]:
+    """The family flags given, in ``families.PARAMS`` order, and the spec of
+    each family in ``family_ids`` built from them.  A flag that none of the
+    families takes is a usage error."""
+    params = {key: getattr(args, key) for key in families.PARAMS
+              if getattr(args, key) is not None}
+    specs = [families.make_family(fid, **params) for fid in family_ids]
+    unused = [f"--{key}" for key in params
+              if not any(key in families.FAMILIES[fid].params for fid in family_ids)]
+    if unused:
+        raise ParameterError(f"{', '.join(unused)} not taken by {', '.join(family_ids)}")
+    return params, specs
 
 
 def _record(command: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
@@ -115,8 +73,7 @@ def _param_repr(params: dict) -> dict:
 
 
 def cmd_convergents(args) -> tuple[dict, int]:
-    params = _spec_params(args)
-    spec = families.make_family(args.expansion, **params)
+    params, (spec,) = _spec_params(args, [args.expansion])
     convs = engine.convergents(spec, args.depth)
     rows = []
     for c in convs:
@@ -140,14 +97,13 @@ def cmd_convergents(args) -> tuple[dict, int]:
 
 
 def cmd_eval(args) -> tuple[dict, int]:
-    params = _spec_params(args)
-    spec = families.make_family(args.expansion, **params)
+    params, (spec,) = _spec_params(args, [args.expansion])
     value, depth = engine.estimate_limit(spec, args.digits)
     oracle_delta = None
-    with mp.workdps(args.digits + 15):
-        target = _oracle_value(args.expansion, params, args.digits)
-        if target is not None:
-            oracle_delta = mp.nstr(abs(to_mp(value) - target), 5)
+    oracle = families.FAMILIES[args.expansion].oracle
+    if oracle is not None:
+        with mp.workdps(args.digits + 15):
+            oracle_delta = mp.nstr(abs(to_mp(value) - oracle(params, args.digits)), 5)
     rows = [
         {
             "value": decimal_str(value, args.digits),
@@ -192,10 +148,6 @@ def cmd_diff_table(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     selection = "all" if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    if selection != "all":
-        unknown = [s for s in selection if s not in identities.SUITE_IDS]
-        if unknown:
-            raise ParameterError(f"unknown suite ids: {unknown}")
     reports = identities.run_suite(
         selection, max_n=args.max_n, k_max=args.depth, digits=args.digits
     )
@@ -214,20 +166,12 @@ def cmd_compare(args) -> tuple[dict, int]:
     ids = [s.strip() for s in args.expansions.split(",") if s.strip()]
     if not ids:
         raise ParameterError("--expansions must list at least one family")
-    params = _spec_params(args)
-    specs, labels = [], []
-    for fid in ids:
-        if fid not in families.FAMILY_IDS:
-            raise ParameterError(f"unknown family {fid!r}")
-        fam_params = {
-            k: v for k, v in params.items() if k in _family_param_names(fid)
-        }
-        specs.append(families.make_family(fid, **fam_params))
-        labels.append(_constant_label(fid, fam_params))
-    if len(set(labels)) > 1:
-        raise ParameterError(
-            f"expansions evaluate different constants: {sorted(set(labels))}"
-        )
+    params, specs = _spec_params(args, ids)
+    labels = sorted({families.FAMILIES[fid].label(params) for fid in ids})
+    if len(labels) > 1:
+        raise ParameterError(f"expansions evaluate different constants: {labels}")
+    if args.value != labels[0]:
+        raise ParameterError(f"--value {args.value} is not {labels[0]}, the limit of {ids}")
     conv_lists = [engine.convergents(s, args.depth) for s in specs]
     rows = []
     for k in range(args.depth + 1):
@@ -260,20 +204,6 @@ def cmd_compare(args) -> tuple[dict, int]:
         {"first_differing_index": matrix, "limits_agree": agree},
     )
     return record, EXIT_OK
-
-
-def _family_param_names(fid: str) -> tuple[str, ...]:
-    return {
-        "exp-n": ("n",),
-        "exp-n-shifted": ("n",),
-        "exp-inv-n": ("n",),
-        "rat-exp": ("l", "n"),
-        "inc-gamma": ("z",),
-        "confluent-1f1": ("z",),
-        "m-fraction": ("b", "z"),
-        "m-fraction-diagonal": ("z",),
-        "e-one-over-M": ("M",),
-    }.get(fid, ())
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     def add_family_params(p):
-        p.add_argument("--expansion", required=True, choices=families.FAMILY_IDS)
-        p.add_argument("--n", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--M", type=int)
-        p.add_argument("--z", type=str)
-        p.add_argument("--b", type=str)
+        for key, parse in families.PARAMS.items():
+            p.add_argument(f"--{key}", type=parse)
 
     p = sub.add_parser("convergents", help="tabulate raw and reduced convergents")
+    p.add_argument("--expansion", required=True, choices=families.FAMILY_IDS)
     add_family_params(p)
     add_common(p)
     p.set_defaults(fn=cmd_convergents)
 
     p = sub.add_parser("eval", help="evaluate an expansion to a digit target")
+    p.add_argument("--expansion", required=True, choices=families.FAMILY_IDS)
     add_family_params(p)
     add_common(p, depth=False)
     p.set_defaults(fn=cmd_eval)
@@ -393,25 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare expansions of the same constant")
     p.add_argument("--value", required=True)
     p.add_argument("--expansions", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--z", type=str)
-    p.add_argument("--b", type=str)
+    add_family_params(p)
     add_common(p)
     p.set_defaults(fn=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _merge_complex_flags(argv: list[str]) -> list[str]:
-    """Rewrite `--z -3+0i` as `--z=-3+0i` so argparse does not read the
-    negative literal as an option string."""
+    """Rewrite `--z -3+0i` as `--z=-3+0i` so argparse does not read a
+    negative family parameter as an option string."""
+    flags = {f"--{key}" for key in families.PARAMS}
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--z", "--b") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -421,17 +351,16 @@ def _merge_complex_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_complex_flags(list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    start = time.monotonic()
-    try:
+        # A complex literal that does not parse raises ParameterError here.
+        args = _parser().parse_args(argv)
+        start = time.monotonic()
         record, status = args.fn(args)
+    except SystemExit as exc:  # argparse usage errors and --help
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ParameterError as exc:
         print(f"cfx: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -440,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except NonConvergenceError as exc:
         print(f"cfx: depth cap reached before convergence: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except CFXError as exc:  # PrecisionError, SingularError
+        print(f"cfx: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     record["diagnostics"]["runtime_seconds"] = round(time.monotonic() - start, 3)
     sys.stdout.write(render(record, getattr(args, "format", "json")))

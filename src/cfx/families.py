@@ -1,4 +1,6 @@
-"""Constructors for every continued-fraction family handled by the library.
+"""The family registry: :data:`FAMILIES` holds, for every continued-fraction
+family the library handles, its parameters, its constructor, the constant it
+converges to and an independent oracle for that constant.
 
 Every family runs in one exact ring, so identity checks against them are
 exact equalities.  A free complex parameter is stored exactly (as
@@ -22,30 +24,13 @@ confirms it against the series oracle for every admissible (l, n).
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
+from . import oracle
 from .engine import CoefficientRule, ExpansionSpec, convergents, mobius
 from .kernel import ComplexParam, DomainError, ParameterError, arg_in_cut_plane, factorial
-
-FAMILY_IDS = (
-    "e-euler",
-    "exp-n",
-    "exp-n-shifted",
-    "inc-gamma",
-    "confluent-1f1",
-    "m-fraction",
-    "m-fraction-diagonal",
-    "rat-exp",
-    "exp-inv-n",
-    "e-regular",
-    "e-over",
-    "e-sporadic",
-    "e-squared",
-    "e-one-over-M",
-)
-
 
 def make_e_euler() -> ExpansionSpec:
     """e = 3 - 1/4 - 2/5 - 3/6 - ..."""
@@ -243,35 +228,79 @@ def make_classical(family_id: str, **params) -> ExpansionSpec:
     raise ParameterError(f"unknown classical family {family_id!r}")
 
 
+# Parse type of every family parameter (a CLI flag of the same name), in the
+# order the CLI echoes them.
+PARAMS = {"n": int, "l": int, "M": int, "z": ComplexParam.parse, "b": ComplexParam.parse}
+
+
+@dataclass(frozen=True)
+class Family:
+    """One continued-fraction family.
+
+    ``params`` names the parameters of ``build``, in its argument order.
+    ``label(params)`` names the constant the family converges to: families
+    with equal labels have equal limits.  ``oracle(params, digits)`` is an
+    independent series value of that constant at the ambient mpmath
+    precision, or None where the library has none.
+    """
+
+    id: str
+    params: tuple[str, ...]
+    build: Callable[..., ExpansionSpec]
+    label: Callable[[dict], str]
+    oracle: Optional[Callable[[dict, int], object]] = None
+
+
+def _exp(exponent: Callable[[dict], "int | Fraction"]) -> dict:
+    """``label`` and ``oracle`` of a family converging to e^exponent(params)."""
+
+    def label(params: dict) -> str:
+        x = Fraction(exponent(params))
+        if x == 1:
+            return "e"
+        return f"e^{x}" if x.denominator == 1 else f"e^({x})"
+
+    return {"label": label,
+            "oracle": lambda params, digits: oracle.exp_series(exponent(params), digits).value}
+
+
+_E = _exp(lambda p: 1)
+# gamma(z,z)/(z^(z-1)e^(-z)) = 1F1(1; z+1; z), the target of three families.
+_DIAG = {"label": lambda p: "1f1-diag",
+         "oracle": lambda p, digits: oracle.inc_gamma_normalized(p["z"], digits).value}
+
+FAMILIES = {family.id: family for family in (
+    Family("e-euler", (), make_e_euler, **_E),
+    Family("exp-n", ("n",), make_exp_n, **_exp(lambda p: p["n"])),
+    Family("exp-n-shifted", ("n",), make_exp_n_shifted, lambda p: f"shifted({p['n']})"),
+    Family("inc-gamma", ("z",), make_inc_gamma, **_DIAG),
+    Family("confluent-1f1", ("z",), make_confluent_1f1, **_DIAG),
+    Family("m-fraction", ("b", "z"), make_m_fraction, lambda p: f"1f1(b={p['b']})",
+           lambda p, digits: oracle.hyp_1f1(ComplexParam.coerce(p["b"]) + 1, p["z"],
+                                            digits).value),
+    Family("m-fraction-diagonal", ("z",), make_m_fraction_diagonal, **_DIAG),
+    Family("rat-exp", ("l", "n"), make_rat_exp, **_exp(lambda p: Fraction(p["l"], p["n"]))),
+    Family("exp-inv-n", ("n",), make_exp_inv_n, **_exp(lambda p: Fraction(1, p["n"]))),
+    Family("e-regular", (), lambda: make_classical("e-regular"), **_E),
+    Family("e-over", (), lambda: make_classical("e-over"), **_E),
+    Family("e-sporadic", (), lambda: make_classical("e-sporadic"), **_E),
+    Family("e-squared", (), lambda: make_classical("e-squared"), **_exp(lambda p: 2)),
+    Family("e-one-over-M", ("M",), lambda M: make_classical("e-one-over-M", M=M),
+           **_exp(lambda p: Fraction(1, p["M"]))),
+)}
+FAMILY_IDS = tuple(FAMILIES)
+
+
 def make_family(family_id: str, **params) -> ExpansionSpec:
-    """Dispatch a family id plus parameters to its constructor."""
-    if family_id == "e-euler":
-        return make_e_euler()
-    if family_id == "exp-n":
-        return make_exp_n(_req(params, "n"))
-    if family_id == "exp-n-shifted":
-        return make_exp_n_shifted(_req(params, "n"))
-    if family_id == "inc-gamma":
-        return make_inc_gamma(_req(params, "z"))
-    if family_id == "confluent-1f1":
-        return make_confluent_1f1(_req(params, "z"))
-    if family_id == "m-fraction":
-        return make_m_fraction(_req(params, "b"), _req(params, "z"))
-    if family_id == "m-fraction-diagonal":
-        return make_m_fraction_diagonal(_req(params, "z"))
-    if family_id == "rat-exp":
-        return make_rat_exp(_req(params, "l"), _req(params, "n"))
-    if family_id == "exp-inv-n":
-        return make_exp_inv_n(_req(params, "n"))
-    if family_id in ("e-regular", "e-over", "e-sporadic", "e-squared", "e-one-over-M"):
-        return make_classical(family_id, **params)
-    raise ParameterError(f"unknown family {family_id!r}")
-
-
-def _req(params: dict, key: str):
-    if key not in params or params[key] is None:
-        raise ParameterError(f"missing required parameter --{key}")
-    return params[key]
+    """Build a family from its id and parameters; parameters it does not take
+    are ignored."""
+    family = FAMILIES.get(family_id)
+    if family is None:
+        raise ParameterError(f"unknown family {family_id!r}")
+    for key in family.params:
+        if params.get(key) is None:
+            raise ParameterError(f"missing required parameter --{key}")
+    return family.build(*(params[key] for key in family.params))
 
 
 def same_convergents(

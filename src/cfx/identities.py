@@ -1,4 +1,6 @@
-"""Executable checks for the closed-form structural claims.
+"""The claim registry: executable checks for the closed-form structural
+claims, and :data:`CLAIMS`, which gives each claim id of the verification
+suite its parameter grid and the digits it checks.
 
 Each check produces a :class:`VerificationReport`.  Exact-ring claims are
 checked by exact equality, never tolerances; claims checked against float
@@ -10,9 +12,10 @@ failing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from mpmath import mp, mpf
 
@@ -30,20 +33,6 @@ from .families import (
 )
 from .kernel import ComplexParam, DomainError, ParameterError, factorial, pochhammer, to_mp
 from . import oracle
-
-SUITE_IDS = (
-    "recurrence2",
-    "recurrence4",
-    "qform",
-    "diff",
-    "rate",
-    "lemma23",
-    "lemma42",
-    "thm31",
-    "thm41",
-    "integrals",
-    "nonequiv",
-)
 
 # z sample set for the cut-plane checks.
 CUT_PLANE_SAMPLES = (
@@ -412,6 +401,63 @@ def check_nonequivalence(depth: int = 10, digits: int = 25) -> VerificationRepor
     )
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the verification suite.
+
+    ``grid(max_n, k_max, digits, agree)`` yields the claim's reports over its
+    parameter grid.  A claim checked against a float oracle checks
+    ``agree = min(cap, digits - margin)`` digits however large ``digits`` is;
+    an exact claim has no ``cap`` and gets ``agree = None``.  ``depth_cap``
+    bounds the ``k_max`` the grid gets.
+    """
+
+    id: str
+    grid: Callable[[int, int, int, Optional[int]], Iterable[VerificationReport]]
+    cap: Optional[int] = None
+    margin: int = 0
+    depth_cap: Optional[int] = None
+
+    def agree(self, digits: int) -> Optional[int]:
+        return None if self.cap is None else min(self.cap, digits - self.margin)
+
+
+def _pairs(max_n: int):
+    """The (l, n) grid 1 <= l < n <= max_n, by n then l."""
+    return ((l, n) for n in range(2, max_n + 1) for l in range(1, n))
+
+
+# The grids name their check functions in their bodies, so that a check is
+# looked up when the grid runs, not bound once at import.
+CLAIMS = {claim.id: claim for claim in (
+    Claim("recurrence2", lambda max_n, k_max, digits, agree: (
+        check_recurrence_solution_thm2(n, k_max) for n in range(1, max_n + 1))),
+    Claim("recurrence4", lambda max_n, k_max, digits, agree: (
+        check_recurrence_solution_sec4(Fraction(l, n), n, k_max) for l, n in _pairs(max_n))),
+    Claim("qform", lambda max_n, k_max, digits, agree: (
+        check_q_closed_form(n, k_max) for n in range(1, max_n + 1))),
+    Claim("diff", lambda max_n, k_max, digits, agree: (
+        check_difference_formula(n, k_max) for n in range(1, max_n + 1))),
+    Claim("rate", lambda max_n, k_max, digits, agree: (
+        check_rate_bound(n, k_max, digits) for n in range(1, max_n + 1)), depth_cap=40),
+    Claim("lemma23", lambda max_n, k_max, digits, agree: (
+        check_lemma23(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=35, margin=5),
+    Claim("lemma42", lambda max_n, k_max, digits, agree: (
+        check_lemma42(l, n, digits, agree=agree) for l, n in _pairs(max_n)), cap=35, margin=5),
+    Claim("thm31", lambda max_n, k_max, digits, agree: (
+        check_thm31(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=30, margin=10),
+    Claim("thm41", lambda max_n, k_max, digits, agree: (
+        check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)), cap=30),
+    # The quadrature checks run at three digits more than they check.
+    Claim("integrals", lambda max_n, k_max, digits, agree: itertools.chain(
+        (check_beta_integral(n, digits=agree + 3) for n in range(1, max_n + 1)),
+        (check_rational_integral(l, n, digits=agree + 3) for l, n in _pairs(max_n)),
+    ), cap=22, margin=3),
+    Claim("nonequiv", lambda max_n, k_max, digits, agree: [check_nonequivalence()]),
+)}
+SUITE_IDS = tuple(CLAIMS)
+
+
 def run_suite(
     selection,
     max_n: int = 6,
@@ -421,53 +467,25 @@ def run_suite(
     """Run the selected checks over the default parameter grid.
 
     ``selection`` is an iterable of suite ids (see SUITE_IDS) or the string
-    "all".  Reports come back sorted by claim id then parameters.
+    "all".  Reports come back sorted by claim id then parameters.  A claim
+    that would check fewer than one digit at ``digits`` is a ParameterError.
     """
     if selection == "all":
         selection = SUITE_IDS
     selection = list(selection)
-    unknown = [s for s in selection if s not in SUITE_IDS]
+    unknown = [s for s in selection if s not in CLAIMS]
     if unknown:
         raise ParameterError(f"unknown suite ids: {unknown}")
+    claims = [CLAIMS[s] for s in selection]
+    for claim in claims:
+        agree = claim.agree(digits)
+        if agree is not None and agree < 1:
+            raise ParameterError(
+                f"{claim.id} would check {agree} digits; it needs --digits >= {claim.margin + 1}"
+            )
     reports: list[VerificationReport] = []
-    for sid in selection:
-        if sid == "recurrence2":
-            for n in range(1, max_n + 1):
-                reports.append(check_recurrence_solution_thm2(n, k_max))
-        elif sid == "recurrence4":
-            for n in range(2, max_n + 1):
-                for l in range(1, n):
-                    reports.append(check_recurrence_solution_sec4(Fraction(l, n), n, k_max))
-        elif sid == "qform":
-            for n in range(1, max_n + 1):
-                reports.append(check_q_closed_form(n, k_max))
-        elif sid == "diff":
-            for n in range(1, max_n + 1):
-                reports.append(check_difference_formula(n, k_max))
-        elif sid == "rate":
-            for n in range(1, max_n + 1):
-                reports.append(check_rate_bound(n, min(k_max, 40), digits))
-        elif sid == "lemma23":
-            for z in CUT_PLANE_SAMPLES:
-                reports.append(check_lemma23(z, digits, agree=min(35, digits - 5)))
-        elif sid == "lemma42":
-            for n in range(2, max_n + 1):
-                for l in range(1, n):
-                    reports.append(check_lemma42(l, n, digits, agree=min(35, digits - 5)))
-        elif sid == "thm31":
-            for z in CUT_PLANE_SAMPLES:
-                reports.append(check_thm31(z, digits, agree=min(30, digits - 10)))
-        elif sid == "thm41":
-            for n in range(2, max_n + 1):
-                for l in range(1, n):
-                    reports.append(check_thm41(l, n, digits=min(30, digits)))
-        elif sid == "integrals":
-            for n in range(1, max_n + 1):
-                reports.append(check_beta_integral(n, digits=min(25, digits)))
-            for n in range(2, max_n + 1):
-                for l in range(1, n):
-                    reports.append(check_rational_integral(l, n, digits=min(25, digits)))
-        elif sid == "nonequiv":
-            reports.append(check_nonequivalence())
+    for claim in claims:
+        depth = k_max if claim.depth_cap is None else min(k_max, claim.depth_cap)
+        reports.extend(claim.grid(max_n, depth, digits, claim.agree(digits)))
     reports.sort(key=lambda r: (r.claim_id, sorted(r.params.items(), key=str).__repr__()))
     return reports

@@ -48,20 +48,6 @@ class NonConvergenceError(CFXError):
     """Iteration hit its depth cap before reaching the target accuracy."""
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Decimal working precision plus guard digits for error control."""
-
-    working_digits: int = 30
-    guard_digits: int = 10
-
-    def __post_init__(self) -> None:
-        if self.working_digits < 10:
-            raise ParameterError("working_digits must be >= 10")
-        if self.guard_digits < 5:
-            raise ParameterError("guard_digits must be >= 5")
-
-
 def factorial(k: int) -> BigInt:
     """k! as an exact integer."""
     if k < 0:
@@ -196,21 +182,24 @@ class ComplexParam:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def arg_in_cut_plane(z, ctx: PrecisionContext | None = None) -> bool:
+# With Re z < 0, a z whose |Im z| is at most 10^-_CUT_DIGITS counts as on the
+# cut: at 30 working digits it cannot be told apart from it.
+_CUT_DIGITS = 15
+
+
+def arg_in_cut_plane(z) -> bool:
     """True iff z avoids the closed negative real axis (|arg z| < pi).
 
-    For negative real part the imaginary part is compared against
-    10^(-working_digits/2), so values indistinguishable from the cut at
-    working precision are rejected.
+    For negative real part the imaginary part must exceed 10^-15, so values
+    indistinguishable from the cut at 30 working digits are rejected.
     """
-    ctx = ctx or PrecisionContext()
     z = ComplexParam.coerce(z) if isinstance(z, (ComplexParam, Fraction, int, complex, str)) else z
     if isinstance(z, ComplexParam):
         if z == 0:
             raise DomainError("z = 0 is not in the cut plane")
         if z.re >= 0:
             return True
-        return abs(z.im) > Fraction(1, 10 ** (ctx.working_digits // 2))
+        return abs(z.im) > Fraction(1, 10**_CUT_DIGITS)
     # mpf / mpc
     re_v = getattr(z, "real", z)
     im_v = getattr(z, "imag", 0)
@@ -218,7 +207,7 @@ def arg_in_cut_plane(z, ctx: PrecisionContext | None = None) -> bool:
         raise DomainError("z = 0 is not in the cut plane")
     if re_v >= 0:
         return True
-    return abs(im_v) > mpf(10) ** (-(ctx.working_digits // 2))
+    return abs(im_v) > mpf(10) ** -_CUT_DIGITS
 
 
 def to_mp(x: Scalar) -> Scalar:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from cfx import cli
+from cfx import cli, oracle
 from cfx.identities import VerificationReport
+from cfx.kernel import PrecisionError
 
 
 def run_cli(capsys, *argv):
@@ -225,3 +226,70 @@ def test_convergents_complex_parameter_exact(capsys):
 def test_no_command_exit_2(capsys):
     status, _, _ = run_cli(capsys)
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expansion", "e-euler", "--n", "7", "--z", "3"],
+        ["convergents", "--expansion", "exp-n", "--n", "2", "--M", "3"],
+        ["compare", "--value", "e", "--expansions", "e-euler,e-regular", "--n", "3"],
+    ],
+)
+def test_flag_no_family_takes_exit_2(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert "not taken by" in err
+    assert out == ""
+
+
+def test_compare_flag_taken_by_one_family(capsys):
+    status, _, _ = run_cli(
+        capsys,
+        "compare", "--value", "e", "--expansions", "e-euler,exp-n", "--n", "1",
+        "--depth", "3", "--digits", "15",
+    )
+    assert status == 0
+
+
+def test_compare_value_must_match_label_exit_2(capsys):
+    status, out, err = run_cli(
+        capsys, "compare", "--value", "pi", "--expansions", "e-euler,e-regular"
+    )
+    assert status == 2
+    assert "--value pi" in err
+    assert out == ""
+
+
+def test_compare_value_e_squared_accepted(capsys):
+    status, _, _ = run_cli(
+        capsys,
+        "compare", "--value", "e^2", "--expansions", "exp-n,e-squared", "--n", "2",
+        "--depth", "3", "--digits", "15",
+    )
+    assert status == 0
+
+
+def test_verify_digits_below_claim_floor_exit_2(capsys):
+    status, out, err = run_cli(capsys, "verify", "--suite", "thm31", "--digits", "5")
+    assert status == 2
+    assert "thm31" in err and "--digits >= 11" in err
+    assert out == ""
+
+
+def test_verify_exact_claim_any_digits(capsys):
+    status, _, _ = run_cli(
+        capsys, "verify", "--suite", "diff", "--digits", "5", "--max-n", "2", "--depth", "5"
+    )
+    assert status == 0
+
+
+def test_precision_error_exit_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PrecisionError("series failed to converge")
+
+    monkeypatch.setattr(oracle, "exp_series", fail)
+    status, out, err = run_cli(capsys, "eval", "--expansion", "e-euler", "--digits", "20")
+    assert status == 1
+    assert err.startswith("cfx: ") and "Traceback" not in err
+    assert out == ""

@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from cfx.engine import convergents, estimate_limit, mobius
 from cfx.families import (
+    FAMILIES,
     FAMILY_IDS,
     make_classical,
     make_confluent_1f1,
@@ -209,18 +210,35 @@ def test_make_family_dispatch_roundtrip():
         make_family("nope")
 
 
+SAMPLE_PARAMS = {
+    "exp-n": {"n": 2},
+    "exp-n-shifted": {"n": 2},
+    "inc-gamma": {"z": 1},
+    "confluent-1f1": {"z": 1},
+    "m-fraction": {"b": 2, "z": 1},
+    "m-fraction-diagonal": {"z": 1},
+    "rat-exp": {"l": 1, "n": 3},
+    "exp-inv-n": {"n": 3},
+    "e-one-over-M": {"M": 2},
+}
+
+
 def test_family_ids_all_constructible():
-    defaults = {
-        "exp-n": {"n": 2},
-        "exp-n-shifted": {"n": 2},
-        "inc-gamma": {"z": 1},
-        "confluent-1f1": {"z": 1},
-        "m-fraction": {"b": 2, "z": 1},
-        "m-fraction-diagonal": {"z": 1},
-        "rat-exp": {"l": 1, "n": 3},
-        "exp-inv-n": {"n": 3},
-        "e-one-over-M": {"M": 2},
-    }
     for fid in FAMILY_IDS:
-        spec = make_family(fid, **defaults.get(fid, {}))
+        spec = make_family(fid, **SAMPLE_PARAMS.get(fid, {}))
         assert spec.name.startswith(fid)
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILY_IDS)
+def test_registry_entry_builds_labels_and_matches_oracle(family):
+    params = SAMPLE_PARAMS.get(family.id, {})
+    assert set(params) == set(family.params)
+    spec = make_family(family.id, **params)
+    label = family.label(params)
+    assert isinstance(label, str) and label
+    if family.oracle is None:
+        return
+    value, _ = estimate_limit(spec, 30)
+    with mp.workdps(45):
+        target = family.oracle(params, 30)
+        assert abs(to_mp(value) - target) <= mpf(10) ** -28 * max(1, abs(target))

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from cfx.engine import convergents
 from cfx.families import make_exp_n
 from cfx.identities import (
+    CLAIMS,
     CUT_PLANE_SAMPLES,
     DIFF_TABLE_NOTE,
     SUITE_IDS,
@@ -134,3 +135,19 @@ def test_suite_ids_cover_all_dispatch_branches():
     reports = run_suite(["recurrence2", "qform"], max_n=2, k_max=10)
     assert {r.claim_id for r in reports} == {"recurrence2", "qform"}
     assert set(SUITE_IDS) >= {r.claim_id for r in reports}
+
+
+@pytest.mark.parametrize("claim", CLAIMS.values(), ids=SUITE_IDS)
+def test_claim_runs_on_smoke_grid(claim):
+    reports = run_suite([claim.id], max_n=3, k_max=20, digits=30)
+    assert reports
+    assert all(r.claim_id == claim.id and r.passed for r in reports)
+
+
+@pytest.mark.parametrize(
+    "claim_id, floor", [("thm31", 11), ("lemma23", 6), ("lemma42", 6), ("integrals", 4)]
+)
+def test_run_suite_rejects_digits_below_claim_floor(claim_id, floor):
+    with pytest.raises(ParameterError, match=f"{claim_id} .*--digits >= {floor}"):
+        run_suite([claim_id], max_n=3, k_max=20, digits=floor - 1)
+    assert CLAIMS[claim_id].agree(floor) == 1

@@ -9,7 +9,6 @@ from cfx.kernel import (
     ComplexParam,
     DomainError,
     ParameterError,
-    PrecisionContext,
     arg_in_cut_plane,
     factorial,
     pochhammer,
@@ -64,18 +63,8 @@ def test_big_rational_arithmetic_exact(a, b):
         assert (a / b) * b == a
 
 
-def test_precision_context_validation():
-    ctx = PrecisionContext(30, 10)
-    assert ctx.working_digits == 30
-    with pytest.raises(ParameterError):
-        PrecisionContext(5, 10)
-    with pytest.raises(ParameterError):
-        PrecisionContext(30, 2)
-
-
 def test_high_prec_real_two_precision_agreement():
     # exp(1) summed at p and p + guard digits agrees to working - 2 digits
-    ctx = PrecisionContext(30, 10)
     from cfx.oracle import exp_series
 
     lo = exp_series(1, 30).value
