@@ -46,16 +46,19 @@ def decimal_str(v, digits: int) -> str:
 
 def _spec_params(args, family_ids: list[str]) -> tuple[dict, list]:
     """The family flags given, in ``families.PARAMS`` order, and the spec of
-    each family in ``family_ids`` built from them.  A flag that none of the
-    families takes is a usage error."""
+    each family in ``family_ids`` built from them.  An unknown family, and a
+    flag that none of the families takes, is a usage error, checked before
+    any family is built."""
     params = {key: getattr(args, key) for key in families.PARAMS
               if getattr(args, key) is not None}
-    specs = [families.make_family(fid, **params) for fid in family_ids]
+    unknown = [fid for fid in family_ids if fid not in families.FAMILIES]
+    if unknown:
+        raise ParameterError(f"unknown family {unknown[0]!r}")
     unused = [f"--{key}" for key in params
               if not any(key in families.FAMILIES[fid].params for fid in family_ids)]
     if unused:
         raise ParameterError(f"{', '.join(unused)} not taken by {', '.join(family_ids)}")
-    return params, specs
+    return params, [families.make_family(fid, **params) for fid in family_ids]
 
 
 def _record(command: str, parameters: dict, rows: list, diagnostics: dict) -> dict:
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-n", dest="max_n", type=int, default=6)
+    p.add_argument("--max-n", dest="max_n", type=_positive_int, default=6)
     p.add_argument("--depth", type=int, default=50)
     p.add_argument("--digits", type=_positive_int, default=40)
     p.add_argument("--format", choices=("text", "csv", "json"), default="json")

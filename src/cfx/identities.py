@@ -5,9 +5,9 @@ suite its parameter grid and the digits it checks.
 Each check produces a :class:`VerificationReport`.  Exact-ring claims are
 checked by exact equality, never tolerances; claims checked against float
 oracles state how many digits of the working precision must agree.  The
-printed difference table one wrong entry (-1/784 where exact subtraction gives -1/288); the difference
-check reports -1/288 and records the discrepancy as a note rather than
-failing.
+printed difference table has one wrong entry (-1/784 where exact subtraction
+gives -1/288); the difference check reports -1/288 and records the
+discrepancy as a note rather than failing.
 """
 
 from __future__ import annotations
@@ -87,40 +87,69 @@ def check_recurrence_solution_thm2(n: int, k_max: int) -> VerificationReport:
     )
 
 
+def _sec4_ratio(a: int, c: int, n: int, k: int) -> tuple[int, int]:
+    """r_k = (k+1+nz)(k+2+(n-1)z)/(k+1+(n-1)z) at z = a/c as an unreduced
+    integer pair (numerator, denominator)."""
+    return (
+        (c * (k + 1) + n * a) * (c * (k + 2) + (n - 1) * a),
+        c * (c * (k + 1) + (n - 1) * a),
+    )
+
+
 def check_recurrence_solution_sec4(z: Fraction, n: int, k_max: int) -> VerificationReport:
     """Ratio form of X_k = Gamma(k+2+nz)(k+2+(n-1)z) against its recurrence.
 
     With r_k = X_k / X_{k-1} = (k+1+nz)(k+2+(n-1)z)/(k+1+(n-1)z) the
     recurrence divided through by X_{k-1} reads
-    r_k = (k + z(n+1) + 2) - z(k + nz)/r_{k-1}; everything stays rational.
+    r_k = (k + z(n+1) + 2) - z(k + nz)/r_{k-1}.  With z = a/c, both sides
+    are kept as unreduced integer pairs and compared by cross-multiplication,
+    so the equality stays exact without a gcd per step.
     """
+    if k_max < 2:
+        raise ParameterError("requires k_max >= 2")
     z = Fraction(z)
-    r = lambda k: Fraction((k + 1 + n * z) * (k + 2 + (n - 1) * z), 1) / (k + 1 + (n - 1) * z)
-    for k in range(1, k_max + 1):
-        if r(k) == 0:
+    a, c = z.numerator, z.denominator
+    r = {k: _sec4_ratio(a, c, n, k) for k in range(1, k_max + 1)}
+    for k, (num, den) in r.items():
+        if den == 0:
+            raise ParameterError(f"ratio has a zero denominator k+1+(n-1)z at k={k}")
+        if num == 0:
             raise ParameterError(f"ratio hits a pole at k={k}")
-    bad = [
-        k
-        for k in range(2, k_max + 1)
-        if r(k) != (k + z * (n + 1) + 2) - z * (k + n * z) / r(k - 1)
-    ]
+    bad = []
+    for k in range(2, k_max + 1):
+        # The right side (k + z(n+1) + 2) - z(k + nz)/r_{k-1}, as an integer pair.
+        head = c * (k + 2) + a * (n + 1)
+        prev_num, prev_den = r[k - 1]
+        tail_num, tail_den = a * (c * k + n * a) * prev_den, c * c * prev_num
+        rhs_num, rhs_den = head * tail_den - tail_num * c, c * tail_den
+        num, den = r[k]
+        if num * rhs_den != rhs_num * den:
+            bad.append(k)
     return VerificationReport(
         claim_id="recurrence4",
         params={"z": str(z), "n": n, "k_max": k_max},
         expected="ratio-form recurrence holds for 2 <= k <= k_max",
         actual="holds" if not bad else f"fails at k={bad[:5]}",
         passed=not bad,
-        witness={"r_2": str(r(2))},
+        witness={"r_2": str(Fraction(*r[2]))},
     )
 
 
 def check_q_closed_form(n: int, k_max: int) -> VerificationReport:
-    """Raw Euler-Wallis Q_k of the e^n fraction equals (1/n)(k+1)(n)_{k+1}."""
+    """Raw Euler-Wallis Q_k of the e^n fraction equals (1/n)(k+1)(n)_{k+1}.
+
+    The rising factorial is kept as a running integer product, and each
+    Q_k is compared by the integer cross-multiplication n Q_k = (k+1)(n)_{k+1}.
+    """
     if n < 1:
         raise ParameterError("requires n >= 1")
     convs = convergents(make_exp_n(n), k_max)
-    closed = lambda k: Fraction((k + 1) * pochhammer(Fraction(n), k + 1), n)
-    bad = [k for k in range(k_max + 1) if convs[k].q_raw != closed(k)]
+    bad = []
+    poch = 1
+    for k, conv in enumerate(convs):
+        poch *= n + k
+        if conv.q_raw * n != (k + 1) * poch:
+            bad.append(k)
     return VerificationReport(
         claim_id="qform",
         params={"n": n, "k_max": k_max},
@@ -409,7 +438,9 @@ class Claim:
     parameter grid.  A claim checked against a float oracle checks
     ``agree = min(cap, digits - margin)`` digits however large ``digits`` is;
     an exact claim has no ``cap`` and gets ``agree = None``.  ``depth_cap``
-    bounds the ``k_max`` the grid gets.
+    bounds the ``k_max`` the grid gets.  ``min_n`` is the smallest ``max_n``
+    the claim accepts: 1, as on the command line, or 2 for a grid over
+    (l, n), which yields no report below it.
     """
 
     id: str
@@ -417,6 +448,7 @@ class Claim:
     cap: Optional[int] = None
     margin: int = 0
     depth_cap: Optional[int] = None
+    min_n: int = 1
 
     def agree(self, digits: int) -> Optional[int]:
         return None if self.cap is None else min(self.cap, digits - self.margin)
@@ -433,7 +465,8 @@ CLAIMS = {claim.id: claim for claim in (
     Claim("recurrence2", lambda max_n, k_max, digits, agree: (
         check_recurrence_solution_thm2(n, k_max) for n in range(1, max_n + 1))),
     Claim("recurrence4", lambda max_n, k_max, digits, agree: (
-        check_recurrence_solution_sec4(Fraction(l, n), n, k_max) for l, n in _pairs(max_n))),
+        check_recurrence_solution_sec4(Fraction(l, n), n, k_max) for l, n in _pairs(max_n)),
+        min_n=2),
     Claim("qform", lambda max_n, k_max, digits, agree: (
         check_q_closed_form(n, k_max) for n in range(1, max_n + 1))),
     Claim("diff", lambda max_n, k_max, digits, agree: (
@@ -443,11 +476,12 @@ CLAIMS = {claim.id: claim for claim in (
     Claim("lemma23", lambda max_n, k_max, digits, agree: (
         check_lemma23(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=35, margin=5),
     Claim("lemma42", lambda max_n, k_max, digits, agree: (
-        check_lemma42(l, n, digits, agree=agree) for l, n in _pairs(max_n)), cap=35, margin=5),
+        check_lemma42(l, n, digits, agree=agree) for l, n in _pairs(max_n)),
+        cap=35, margin=5, min_n=2),
     Claim("thm31", lambda max_n, k_max, digits, agree: (
         check_thm31(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=30, margin=10),
     Claim("thm41", lambda max_n, k_max, digits, agree: (
-        check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)), cap=30),
+        check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)), cap=30, min_n=2),
     # The quadrature checks run at three digits more than they check.
     Claim("integrals", lambda max_n, k_max, digits, agree: itertools.chain(
         (check_beta_integral(n, digits=agree + 3) for n in range(1, max_n + 1)),
@@ -468,7 +502,8 @@ def run_suite(
 
     ``selection`` is an iterable of suite ids (see SUITE_IDS) or the string
     "all".  Reports come back sorted by claim id then parameters.  A claim
-    that would check fewer than one digit at ``digits`` is a ParameterError.
+    that would check fewer than one digit at ``digits``, or whose ``min_n``
+    exceeds ``max_n``, is a ParameterError.
     """
     if selection == "all":
         selection = SUITE_IDS
@@ -478,6 +513,8 @@ def run_suite(
         raise ParameterError(f"unknown suite ids: {unknown}")
     claims = [CLAIMS[s] for s in selection]
     for claim in claims:
+        if max_n < claim.min_n:
+            raise ParameterError(f"{claim.id} needs --max-n >= {claim.min_n}, not {max_n}")
         agree = claim.agree(digits)
         if agree is not None and agree < 1:
             raise ParameterError(

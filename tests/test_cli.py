@@ -234,12 +234,23 @@ def test_no_command_exit_2(capsys):
         ["eval", "--expansion", "e-euler", "--n", "7", "--z", "3"],
         ["convergents", "--expansion", "exp-n", "--n", "2", "--M", "3"],
         ["compare", "--value", "e", "--expansions", "e-euler,e-regular", "--n", "3"],
+        # The unused flag is reported before z = -3 fails as a domain error.
+        ["eval", "--expansion", "inc-gamma", "--z", "-3", "--n", "2"],
     ],
 )
 def test_flag_no_family_takes_exit_2(capsys, argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == 2
     assert "not taken by" in err
+    assert out == ""
+
+
+def test_compare_unknown_family_with_flag_exit_2(capsys):
+    status, out, err = run_cli(
+        capsys, "compare", "--value", "e", "--expansions", "e-euler,bogus", "--n", "3"
+    )
+    assert status == 2
+    assert "unknown family 'bogus'" in err
     assert out == ""
 
 
@@ -274,6 +285,22 @@ def test_verify_digits_below_claim_floor_exit_2(capsys):
     status, out, err = run_cli(capsys, "verify", "--suite", "thm31", "--digits", "5")
     assert status == 2
     assert "thm31" in err and "--digits >= 11" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "diff", "--max-n", "-1"], "--max-n: must be a positive integer"),
+        (["--suite", "all", "--max-n", "0"], "--max-n: must be a positive integer"),
+        (["--suite", "lemma42", "--max-n", "1"], "lemma42 needs --max-n >= 2, not 1"),
+        (["--suite", "recurrence4", "--depth", "1"], "requires k_max >= 2"),
+    ],
+)
+def test_verify_empty_grid_exit_2(capsys, argv, message):
+    status, out, err = run_cli(capsys, "verify", *argv)
+    assert status == 2
+    assert message in err
     assert out == ""
 
 

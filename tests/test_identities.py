@@ -1,11 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from cfx import identities
 from cfx.engine import convergents
 from cfx.families import make_exp_n
 from cfx.identities import (
+    VerificationReport,
     CLAIMS,
     CUT_PLANE_SAMPLES,
     DIFF_TABLE_NOTE,
@@ -26,7 +29,7 @@ from cfx.identities import (
     rate_constant,
     run_suite,
 )
-from cfx.kernel import ComplexParam, ParameterError
+from cfx.kernel import ComplexParam, ParameterError, pochhammer
 from cfx.oracle import exp_series
 
 
@@ -44,6 +47,97 @@ def test_recurrence_solution_sec4_passes():
 def test_q_closed_form_passes():
     for n in (1, 2, 5, 10):
         assert check_q_closed_form(n, 100).passed
+
+
+def reference_sec4(z, n, k_max):
+    """The ratio-form recurrence check in Fraction arithmetic, r_k rebuilt at every use."""
+    z = Fraction(z)
+    r = lambda k: Fraction((k + 1 + n * z) * (k + 2 + (n - 1) * z), 1) / (k + 1 + (n - 1) * z)
+    for k in range(1, k_max + 1):
+        if r(k) == 0:
+            raise ParameterError(f"ratio hits a pole at k={k}")
+    bad = [
+        k
+        for k in range(2, k_max + 1)
+        if r(k) != (k + z * (n + 1) + 2) - z * (k + n * z) / r(k - 1)
+    ]
+    return VerificationReport(
+        claim_id="recurrence4",
+        params={"z": str(z), "n": n, "k_max": k_max},
+        expected="ratio-form recurrence holds for 2 <= k <= k_max",
+        actual="holds" if not bad else f"fails at k={bad[:5]}",
+        passed=not bad,
+        witness={"r_2": str(r(2))},
+    )
+
+
+def reference_qform(n, k_max):
+    """The closed-form Q_k check with a Fraction Pochhammer symbol recomputed per k."""
+    convs = convergents(make_exp_n(n), k_max)
+    closed = lambda k: Fraction((k + 1) * pochhammer(Fraction(n), k + 1), n)
+    bad = [k for k in range(k_max + 1) if convs[k].q_raw != closed(k)]
+    return VerificationReport(
+        claim_id="qform",
+        params={"n": n, "k_max": k_max},
+        expected="(1/n)(k+1)(n)_{k+1}",
+        actual="all raw Q_k match" if not bad else f"mismatch at k={bad[:5]}",
+        passed=not bad,
+        witness={"Q_raw": [str(c.q_raw) for c in convs[: min(6, k_max + 1)]]},
+    )
+
+
+@pytest.mark.parametrize("k_max", [2, 50, 200])
+def test_exact_claims_match_fraction_reference(k_max):
+    for n in range(2, 9):
+        for l in range(1, n):
+            z = Fraction(l, n)
+            assert check_recurrence_solution_sec4(z, n, k_max) == reference_sec4(z, n, k_max)
+    for n in range(1, 9):
+        assert check_q_closed_form(n, k_max) == reference_qform(n, k_max)
+
+
+@pytest.mark.parametrize("z, n", [(Fraction(7, 3), 4), (Fraction(-5, 7), 3), (Fraction(1, 9), 1)])
+def test_recurrence_sec4_matches_reference_off_grid(z, n):
+    assert check_recurrence_solution_sec4(z, n, 40) == reference_sec4(z, n, 40)
+
+
+def test_q_closed_form_reports_a_wrong_q(monkeypatch):
+    def off_by_one(spec, depth):
+        convs = convergents(spec, depth)
+        convs[7] = dataclasses.replace(convs[7], q_raw=convs[7].q_raw + 1)
+        return convs
+
+    monkeypatch.setattr(identities, "convergents", off_by_one)
+    report = check_q_closed_form(3, 20)
+    assert not report.passed
+    assert report.actual == "mismatch at k=[7]"
+
+
+def test_recurrence_sec4_reports_a_wrong_ratio(monkeypatch):
+    ratio = identities._sec4_ratio
+
+    def perturbed(a, c, n, k):
+        num, den = ratio(a, c, n, k)
+        return (num + den, den) if k == 5 else (num, den)
+
+    monkeypatch.setattr(identities, "_sec4_ratio", perturbed)
+    report = check_recurrence_solution_sec4(Fraction(1, 3), 3, 20)
+    assert not report.passed
+    # r_5 enters the equation at k = 5 and, as r_{k-1}, at k = 6.
+    assert report.actual == "fails at k=[5, 6]"
+
+
+@pytest.mark.parametrize(
+    "z, n, k_max, message",
+    [
+        (Fraction(1, 2), 2, 1, "requires k_max >= 2"),
+        (Fraction(-2), 2, 5, "zero denominator k\\+1\\+\\(n-1\\)z at k=1"),
+        (Fraction(-1), 2, 5, "pole at k=1"),
+    ],
+)
+def test_recurrence_sec4_rejects(z, n, k_max, message):
+    with pytest.raises(ParameterError, match=message):
+        check_recurrence_solution_sec4(z, n, k_max)
 
 
 def test_difference_formula_passes_and_is_negative():
@@ -124,6 +218,16 @@ def test_run_suite_diff_selection():
     assert len(reports) == 5
     assert all(r.claim_id == "diff" and r.passed for r in reports)
     assert any(r.note == DIFF_TABLE_NOTE for r in reports)
+
+
+@pytest.mark.parametrize(
+    "claim_id, max_n, floor", [("diff", 0, 1), ("qform", -1, 1), ("lemma42", 1, 2),
+                               ("recurrence4", 1, 2), ("thm41", 1, 2)]
+)
+def test_run_suite_rejects_grid_without_reports(claim_id, max_n, floor):
+    assert not list(CLAIMS[claim_id].grid(max_n, 10, 30, CLAIMS[claim_id].agree(30)))
+    with pytest.raises(ParameterError, match=f"{claim_id} needs --max-n >= {floor}, not {max_n}"):
+        run_suite([claim_id], max_n=max_n, k_max=10, digits=30)
 
 
 def test_run_suite_rejects_unknown_id():
