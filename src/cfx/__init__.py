@@ -53,9 +53,7 @@ from .oracle import (
     hyp_1f1,
     hyp_2f2,
     inc_gamma_normalized,
-    lower_inc_gamma,
     sigma_partial,
-    taylor_remainder,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@ claims, and :data:`CLAIMS`, which gives each claim id of the verification
 suite its parameter grid and the digits it checks.
 
 Each check produces a :class:`VerificationReport`.  Exact-ring claims are
-checked by exact equality, never tolerances; claims checked against float
+checked by exact equality, never tolerances; claims checked against series
 oracles state how many digits of the working precision must agree.  The
-printed difference table has one wrong entry (-1/784 where exact subtraction
-gives -1/288); the difference check reports -1/288 and records the
-discrepancy as a note rather than failing.
+``integrals`` claim sums both integral representations as exact series with
+certified tails (no quadrature) and reports the tail bound in its witness.
+The printed difference table has one wrong entry (-1/784 where exact
+subtraction gives -1/288); the difference check reports -1/288 and records
+the discrepancy as a note rather than failing.
 """
 
 from __future__ import annotations
@@ -178,8 +180,10 @@ def check_difference_formula(n: int, k_max: int) -> VerificationReport:
     for k in range(1, k_max + 1):
         direct = convs[k].value - convs[k - 1].value
         formula = difference_formula(n, k)
-        # The claim's unreduced numerator is -n^{n+k+1}: divisible by n.
-        if direct != formula or (n ** (n + k + 1)) % n != 0:
+        # The unreduced numerator P_k Q_{k-1} - P_{k-1} Q_k of the engine's
+        # raw convergents is divisible by n.
+        raw = convs[k].p_raw * convs[k - 1].q_raw - convs[k - 1].p_raw * convs[k].q_raw
+        if direct != formula or raw % n != 0:
             bad.append(k)
     note = DIFF_TABLE_NOTE if n == 1 and k_max >= 3 else None
     return VerificationReport(
@@ -214,8 +218,8 @@ def check_rate_bound(n: int, k_max: int, digits: int = 40, big_o_constant=None) 
     exact integer identity (k+1)(k+2)(1)_{k+2} = k!(k+1)^2(k+2)^2 behind the
     n = 1 rate shape.
     """
-    if n < 1:
-        raise ParameterError("requires n >= 1")
+    if n < 1 or k_max < 1:
+        raise ParameterError("requires n >= 1 and k_max >= 1")
     if big_o_constant is None:
         big_o_constant = rate_constant(n)
     spec = make_exp_n(n)
@@ -351,43 +355,53 @@ def check_thm41(l: int, n: int, digits: int = 30) -> VerificationReport:
     )
 
 
+# The integral checks sum their series to ``digits`` and compare
+# ``digits - INTEGRAL_MARGIN`` digits, the margin of the integrals claim.
+INTEGRAL_MARGIN = 3
+
+
 def check_rational_integral(l: int, n: int, digits: int = 25) -> VerificationReport:
-    """int_0^1 t^{-l/n} e^{tl/n} (l(t-1)+n) dt = n e^{l/n} by quadrature."""
+    """int_0^1 t^{-l/n} e^{tl/n} (l(t-1)+n) dt = n e^{l/n}: the certified
+    integral series against exp_series(l/n), to ``digits`` - 3 digits."""
+    series = oracle.exp_rational_integral(l, n, digits)
     with mp.workdps(digits + 15):
-        lhs = oracle.exp_rational_integral(l, n, digits)
+        lhs = to_mp(series.value)
         rhs = n * oracle.exp_series(Fraction(l, n), digits).value
-        ok = _agree_digits(lhs, rhs, digits - 3)
+        ok = _agree_digits(lhs, rhs, digits - INTEGRAL_MARGIN)
         diff = mp.nstr(abs(lhs - rhs), 5)
+        tail = mp.nstr(to_mp(series.tail_bound), 5)
     return VerificationReport(
         claim_id="integrals",
         params={"kind": "rational-kernel", "l": l, "n": n, "digits": digits},
         expected=mp.nstr(rhs, 20),
         actual=mp.nstr(lhs, 20),
         passed=ok,
-        witness={"abs_diff": diff},
+        witness={"abs_diff": diff, "tail_bound": tail},
     )
 
 
 def check_beta_integral(n: int, digits: int = 25) -> VerificationReport:
-    """int_0^1 (1-t)^{n-1} e^{tn} dt = (1/n)(1 + n + K), quadrature vs fraction."""
-    lhs = oracle.beta_exp_integral(n, digits)
+    """int_0^1 (1-t)^{n-1} e^{tn} dt = (1/n)(1 + n + K): the certified
+    integral series against the fraction, to ``digits`` - 3 digits."""
+    series = oracle.beta_exp_integral(n, digits)
     spec = make_exp_n(n)
     cf_value, depth = estimate_limit(spec, digits + 5)
+    # Invert the affine finisher C = (alpha w + beta)/delta:
+    # (1/n)(1+n+K) = w/n = (C delta - beta)/(alpha n).
+    alpha, beta, _, delta = spec.mobius
+    cf_side = (cf_value * delta - beta) / (alpha * n)
     with mp.workdps(digits + 15):
-        # Invert the affine finisher C = (alpha w + beta)/delta:
-        # (1/n)(1+n+K) = w/n = (C delta - beta)/(alpha n).
-        alpha, beta, _, delta = spec.mobius
-        inner = (cf_value * delta - beta) / alpha
-        rhs = to_mp(inner) / n
-        ok = _agree_digits(lhs, rhs, digits - 3)
+        lhs, rhs = to_mp(series.value), to_mp(cf_side)
+        ok = _agree_digits(lhs, rhs, digits - INTEGRAL_MARGIN)
         diff = mp.nstr(abs(lhs - rhs), 5)
+        tail = mp.nstr(to_mp(series.tail_bound), 5)
     return VerificationReport(
         claim_id="integrals",
         params={"kind": "beta-exp", "n": n, "digits": digits},
         expected=mp.nstr(rhs, 20),
         actual=mp.nstr(lhs, 20),
         passed=ok,
-        witness={"abs_diff": diff, "cf_depth": depth},
+        witness={"abs_diff": diff, "cf_depth": depth, "tail_bound": tail},
     )
 
 
@@ -435,9 +449,9 @@ class Claim:
     """One claim of the verification suite.
 
     ``grid(max_n, k_max, digits, agree)`` yields the claim's reports over its
-    parameter grid.  A claim checked against a float oracle checks
-    ``agree = min(cap, digits - margin)`` digits however large ``digits`` is;
-    an exact claim has no ``cap`` and gets ``agree = None``.  ``depth_cap``
+    parameter grid.  A claim checked against an oracle to a tolerance checks
+    ``agree = digits - margin`` digits, at most ``cap`` if it has one; an
+    exact claim has ``margin = None`` and gets ``agree = None``.  ``depth_cap``
     bounds the ``k_max`` the grid gets.  ``min_n`` is the smallest ``max_n``
     the claim accepts: 1, as on the command line, or 2 for a grid over
     (l, n), which yields no report below it.
@@ -446,12 +460,15 @@ class Claim:
     id: str
     grid: Callable[[int, int, int, Optional[int]], Iterable[VerificationReport]]
     cap: Optional[int] = None
-    margin: int = 0
+    margin: Optional[int] = None
     depth_cap: Optional[int] = None
     min_n: int = 1
 
     def agree(self, digits: int) -> Optional[int]:
-        return None if self.cap is None else min(self.cap, digits - self.margin)
+        if self.margin is None:
+            return None
+        agree = digits - self.margin
+        return agree if self.cap is None else min(self.cap, agree)
 
 
 def _pairs(max_n: int):
@@ -481,12 +498,12 @@ CLAIMS = {claim.id: claim for claim in (
     Claim("thm31", lambda max_n, k_max, digits, agree: (
         check_thm31(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=30, margin=10),
     Claim("thm41", lambda max_n, k_max, digits, agree: (
-        check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)), cap=30, min_n=2),
-    # The quadrature checks run at three digits more than they check.
+        check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)),
+        cap=30, margin=0, min_n=2),
     Claim("integrals", lambda max_n, k_max, digits, agree: itertools.chain(
-        (check_beta_integral(n, digits=agree + 3) for n in range(1, max_n + 1)),
-        (check_rational_integral(l, n, digits=agree + 3) for l, n in _pairs(max_n)),
-    ), cap=22, margin=3),
+        (check_beta_integral(n, digits) for n in range(1, max_n + 1)),
+        (check_rational_integral(l, n, digits) for l, n in _pairs(max_n)),
+    ), margin=INTEGRAL_MARGIN),
     Claim("nonequiv", lambda max_n, k_max, digits, agree: [check_nonequivalence()]),
 )}
 SUITE_IDS = tuple(CLAIMS)
@@ -500,13 +517,13 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run the selected checks over the default parameter grid.
 
-    ``selection`` is an iterable of suite ids (see SUITE_IDS) or the string
-    "all".  Reports come back sorted by claim id then parameters.  A claim
-    that would check fewer than one digit at ``digits``, or whose ``min_n``
-    exceeds ``max_n``, is a ParameterError.
+    ``selection`` is an iterable of suite ids (see SUITE_IDS), the string
+    "all", or one id as a string.  Reports come back sorted by claim id then
+    parameters.  A claim that would check fewer than one digit at ``digits``,
+    or whose ``min_n`` exceeds ``max_n``, is a ParameterError.
     """
-    if selection == "all":
-        selection = SUITE_IDS
+    if isinstance(selection, str):
+        selection = SUITE_IDS if selection == "all" else [selection]
     selection = list(selection)
     unknown = [s for s in selection if s not in CLAIMS]
     if unknown:

@@ -1,10 +1,18 @@
-"""Independent series and quadrature oracles.
+"""Independent series oracles.
 
-These evaluators never touch the continued-fraction engine: every value comes
-from a power series summed term by term (with a geometric tail majorant once
-the term ratio drops below 1/2) or from high-precision quadrature checked by
-the two-precision policy.  They are the ground truth the fraction families
-are verified against.
+These evaluators never touch the continued-fraction engine.  Every value is
+a power series summed term by term, in one of two ways:
+
+* the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``,
+  ``inc_gamma_normalized``) run in mpmath at ``_GUARD`` digits above the
+  target and stop once the term ratio is below 1/2 and the term below
+  10^-digits;
+* the integral series (``beta_exp_integral``, ``exp_rational_integral``)
+  integrate ``e^{ct}`` term by term in exact ``Fraction``s and stop once a
+  certified geometric bound on the positive tail is below 10^-digits of the
+  partial sum.
+
+They are the ground truth the fraction families are verified against.
 """
 
 from __future__ import annotations
@@ -12,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import exp as mp_exp
-from mpmath import mp, mpf, power, quad
+from mpmath import mp, mpf
+
+# Nothing in cfx integrates numerically.  The name stays importable because
+# benchmarks/tracing.py wraps ``oracle.quad`` to count quadrature calls.
+from mpmath import quad  # noqa: F401
 
 from .kernel import (
     ComplexParam,
@@ -31,9 +42,15 @@ _GUARD = 15
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """A partial sum, the number of terms in it and a bound on what it omits.
+
+    The float series give an ``mpf`` bound; the exact integral series give a
+    certified ``Fraction``.
+    """
+
     value: Scalar
     terms_used: int
-    tail_bound: mpf
+    tail_bound: Scalar
 
 
 def _is_nonpositive_integer(x) -> bool:
@@ -78,30 +95,6 @@ def exp_series(x, digits: int) -> SeriesResult:
                 t = t * xv / k
 
         return _sum_series(terms(), digits)
-
-
-def lower_inc_gamma(s, x, digits: int) -> SeriesResult:
-    """gamma(s, x) = x^s e^{-x} sum_k x^k / (s)_{k+1}, principal branch x^s."""
-    s = ComplexParam.coerce(s)
-    x = ComplexParam.coerce(x)
-    if _is_nonpositive_integer(s):
-        raise ParameterError(f"s = {s} is a non-positive integer")
-    if x == 0 or not arg_in_cut_plane(x):
-        raise DomainError(f"x = {x} is not in the cut plane")
-    with mp.workdps(digits + _GUARD):
-        sv, xv = s.to_mp(), x.to_mp()
-
-        def terms():
-            t = mpf(1) / sv
-            k = 0
-            while True:
-                yield t
-                k += 1
-                t = t * xv / (sv + k)
-
-        inner = _sum_series(terms(), digits + 5)
-        value = power(xv, sv) * mp_exp(-xv) * inner.value
-        return SeriesResult(value, inner.terms_used, inner.tail_bound)
 
 
 def inc_gamma_normalized(z, digits: int) -> SeriesResult:
@@ -217,77 +210,62 @@ def sigma_partial(param, depth: int) -> Fraction:
     return total
 
 
-def quad_two_precision(make_integrand, a, b, digits: int):
-    """Quadrature at two precisions; raises if the runs disagree.
+def _certified_sum(terms, digits: int) -> SeriesResult:
+    """Sum exact positive terms until the tail is below 10^-digits of the sum.
 
-    ``make_integrand`` is called under each precision so any embedded
-    constants are rebuilt at the ambient dps.
+    ``terms`` yields pairs (t_k, b_k) where b_k bounds sum_{j>k} t_j.  The
+    series below get b_k from a geometric majorant: if r_k < 1 bounds every
+    ratio t_{j+1}/t_j with j >= k, the tail is at most t_k r_k/(1 - r_k).
     """
-    with mp.workdps(digits + _GUARD):
-        lo = quad(make_integrand(), [a, b])
-    with mp.workdps(digits + 2 * _GUARD):
-        hi = quad(make_integrand(), [a, b])
-        if abs(hi - lo) > mpf(10) ** (-(digits - 2)) * max(1, abs(hi)):
-            raise PrecisionError(f"quadrature runs disagree at {digits} digits")
-    return hi
+    scale = 10**digits
+    total = Fraction(0)
+    for k, (term, tail) in enumerate(terms):
+        total += term
+        if tail * scale < total:
+            return SeriesResult(total, k + 1, tail)
 
 
-def taylor_remainder(n: int, digits: int) -> SeriesResult:
-    """Both sides of R_n = (n^n/(n-1)!) int_0^1 (1-t)^{n-1} e^{nt} dt
-    = e^n - sum_{k<n} n^k/k!; asserts their agreement and returns the value.
+def beta_exp_integral(n: int, digits: int) -> SeriesResult:
+    """int_0^1 (1-t)^{n-1} e^{nt} dt = sum_k n^k (n-1)!/(n+k)!, exactly.
+
+    Termwise B(k+1, n) = k!(n-1)!/(n+k)!.  The term ratio n/(n+k+1) falls,
+    so r_k = n/(n+k+1) and the tail after t_k is at most t_k n/(k+1).
+    Scaled by n^n/(n-1)!, the sum is the Taylor remainder
+    e^n - sum_{k<n} n^k/k!.
     """
-    if n < 1:
-        raise ParameterError("taylor_remainder requires n >= 1")
-    from .kernel import factorial
-
-    def make_integrand():
-        nv = mpf(n)
-        return lambda t: (1 - t) ** (n - 1) * mp_exp(nv * t)
-
-    integral = quad_two_precision(make_integrand, 0, 1, digits)
-    with mp.workdps(digits + _GUARD):
-        integral_side = mpf(n) ** n / factorial(n - 1) * integral
-        series = exp_series(n, digits + 5)
-        partial = sum(Fraction(n**k, factorial(k)) for k in range(n))
-        series_side = series.value - to_mp(partial)
-        if abs(integral_side - series_side) > mpf(10) ** (-(digits - 2)) * max(
-            1, abs(series_side)
-        ):
-            raise PrecisionError(
-                f"Taylor remainder sides disagree at n={n}: {integral_side} vs {series_side}"
-            )
-        return SeriesResult(series_side, series.terms_used, series.tail_bound)
-
-
-def exp_rational_integral(l: int, n: int, digits: int):
-    """int_0^1 t^{-l/n} e^{t l/n} (l(t-1) + n) dt, claimed to equal n e^{l/n}.
-
-    The endpoint singularity t^{-l/n} is removed by the substitution
-    t = u^{n/(n-l)}, after which the integrand is smooth on [0, 1].
-    """
-    if not (1 <= l < n):
-        raise ParameterError("requires 1 <= l < n")
-
-    def make_integrand():
-        p = mpf(n) / (n - l)
-        zl = mpf(l) / n
-
-        def f(u):
-            t = u**p
-            return p * mp_exp(zl * t) * (l * (t - 1) + n)
-
-        return f
-
-    return quad_two_precision(make_integrand, 0, 1, digits)
-
-
-def beta_exp_integral(n: int, digits: int):
-    """int_0^1 (1-t)^{n-1} e^{tn} dt (smooth; direct quadrature)."""
     if n < 1:
         raise ParameterError("requires n >= 1")
 
-    def make_integrand():
-        nv = mpf(n)
-        return lambda t: (1 - t) ** (n - 1) * mp_exp(nv * t)
+    def terms():
+        t = Fraction(1, n)
+        k = 0
+        while True:
+            yield t, t * n / (k + 1)
+            k += 1
+            t = t * n / (n + k)
 
-    return quad_two_precision(make_integrand, 0, 1, digits)
+    return _certified_sum(terms(), digits)
+
+
+def exp_rational_integral(l: int, n: int, digits: int) -> SeriesResult:
+    """int_0^1 t^{-l/n} e^{tl/n} (l(t-1) + n) dt, claimed to equal n e^{l/n}.
+
+    Integrating e^{tl/n} term by term gives, exactly,
+    sum_k (l/n)^k/k! [ln/(n(k+2)-l) + n(n-l)/(n(k+1)-l)].  The bracket falls
+    in k, so every ratio t_{j+1}/t_j with j >= k is at most
+    r_k = (l/n)/(k+1), and the tail after t_k is at most t_k l/(n(k+1)-l).
+    """
+    if not (1 <= l < n):
+        raise ParameterError("requires 1 <= l < n")
+    z = Fraction(l, n)
+
+    def terms():
+        power = Fraction(1)  # z^k / k!
+        k = 0
+        while True:
+            t = power * (Fraction(l * n, n * (k + 2) - l) + Fraction(n * (n - l), n * (k + 1) - l))
+            yield t, t * l / (n * (k + 1) - l)
+            k += 1
+            power = power * z / k
+
+    return _certified_sum(terms(), digits)

@@ -295,6 +295,7 @@ def test_verify_digits_below_claim_floor_exit_2(capsys):
         (["--suite", "all", "--max-n", "0"], "--max-n: must be a positive integer"),
         (["--suite", "lemma42", "--max-n", "1"], "lemma42 needs --max-n >= 2, not 1"),
         (["--suite", "recurrence4", "--depth", "1"], "requires k_max >= 2"),
+        (["--suite", "rate", "--depth", "0", "--max-n", "2"], "requires n >= 1 and k_max >= 1"),
     ],
 )
 def test_verify_empty_grid_exit_2(capsys, argv, message):

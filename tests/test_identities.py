@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from cfx import identities
+from cfx import identities, oracle
 from cfx.engine import convergents
 from cfx.families import make_exp_n
 from cfx.identities import (
@@ -147,6 +147,22 @@ def test_difference_formula_passes_and_is_negative():
         assert all(difference_formula(n, k) < 0 for k in range(1, 51))
 
 
+def test_difference_formula_tests_the_raw_numerator(monkeypatch):
+    # Reduced pairs leave every value, so every difference, unchanged; only
+    # the divisibility of the raw numerator P_k Q_{k-1} - P_{k-1} Q_k by n
+    # can tell them from the engine's raw convergents.
+    def reduced(spec, depth):
+        return [
+            dataclasses.replace(c, p_raw=c.value.numerator, q_raw=c.value.denominator)
+            for c in convergents(spec, depth)
+        ]
+
+    monkeypatch.setattr(identities, "convergents", reduced)
+    report = check_difference_formula(2, 10)
+    assert not report.passed
+    assert report.actual == "mismatch at k=[7, 8]"
+
+
 def test_difference_formula_note_on_n1():
     assert check_difference_formula(1, 5).note == DIFF_TABLE_NOTE
     assert check_difference_formula(2, 5).note is None
@@ -164,6 +180,14 @@ def test_difference_formula_telescopes():
 def test_rate_bound_with_suite_constant():
     for n in (1, 2, 3):
         assert check_rate_bound(n, 30).passed
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_rate_bound_rejects_empty_depth_range(k_max):
+    with pytest.raises(ParameterError, match="k_max >= 1"):
+        check_rate_bound(2, k_max)
+    with pytest.raises(ParameterError, match="k_max >= 1"):
+        run_suite(["rate"], max_n=2, k_max=k_max)
 
 
 def test_rate_bound_scaling_constant_required():
@@ -202,6 +226,43 @@ def test_integrals_pass():
     assert check_rational_integral(2, 5).passed
 
 
+def test_integrals_check_full_digits_with_certified_tail():
+    # No cap: the claim checks digits - 3 however large digits is.
+    assert CLAIMS["integrals"].agree(200) == 197
+    reports = run_suite(["integrals"], max_n=3, k_max=10, digits=120)
+    assert len(reports) == 3 + 3
+    for r in reports:
+        assert r.passed and r.params["digits"] == 120
+        assert mpf(r.witness["tail_bound"]) < mpf(10) ** -119
+        assert mpf(r.witness["abs_diff"]) < mpf(10) ** -116
+
+
+@pytest.mark.parametrize("check, args, series", [
+    (check_beta_integral, (4,), "beta_exp_integral"),
+    (check_rational_integral, (3, 5), "exp_rational_integral"),
+])
+def test_integrals_report_a_wrong_series(monkeypatch, check, args, series):
+    exact = getattr(oracle, series)
+
+    def off(*a):
+        result = exact(*a)
+        return dataclasses.replace(result, value=result.value + Fraction(1, 10**30))
+
+    monkeypatch.setattr(oracle, series, off)
+    assert check(*args, digits=40).passed is False
+    assert check(*args, digits=25).passed
+
+
+def test_integrals_use_no_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(oracle, "quad", no_quadrature)
+    monkeypatch.setattr(mp, "quad", no_quadrature)
+    reports = run_suite(["integrals"], max_n=4)
+    assert len(reports) == 4 + 6 and all(r.passed for r in reports)
+
+
 def test_nonequivalence_passes():
     report = check_nonequivalence()
     assert report.passed
@@ -228,6 +289,12 @@ def test_run_suite_rejects_grid_without_reports(claim_id, max_n, floor):
     assert not list(CLAIMS[claim_id].grid(max_n, 10, 30, CLAIMS[claim_id].agree(30)))
     with pytest.raises(ParameterError, match=f"{claim_id} needs --max-n >= {floor}, not {max_n}"):
         run_suite([claim_id], max_n=max_n, k_max=10, digits=30)
+
+
+def test_run_suite_single_id_string():
+    assert run_suite("diff", max_n=3, k_max=10) == run_suite(["diff"], max_n=3, k_max=10)
+    with pytest.raises(ParameterError, match=r"unknown suite ids: \['bogus'\]"):
+        run_suite("bogus")
 
 
 def test_run_suite_rejects_unknown_id():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from cfx.kernel import DomainError, ParameterError, factorial
+from cfx.kernel import ParameterError, factorial, to_mp
 from cfx.oracle import (
     beta_exp_integral,
     exp_rational_integral,
@@ -11,9 +11,7 @@ from cfx.oracle import (
     hyp_1f1,
     hyp_2f2,
     inc_gamma_normalized,
-    lower_inc_gamma,
     sigma_partial,
-    taylor_remainder,
 )
 
 
@@ -35,39 +33,11 @@ def test_exp_series_rational_argument():
         assert abs(half**2 - exp_series(1, 35).value) < mpf(10) ** -33
 
 
-def test_lower_inc_gamma_small_integer_s():
-    with mp.workdps(45):
-        e_inv = exp_series(-1, 35).value
-        # gamma(1, 1) = 1 - e^{-1}; gamma(2, 1) = 1 - 2 e^{-1}
-        assert abs(lower_inc_gamma(1, 1, 35).value - (1 - e_inv)) < mpf(10) ** -33
-        assert abs(lower_inc_gamma(2, 1, 35).value - (1 - 2 * e_inv)) < mpf(10) ** -33
-
-
-def test_lower_inc_gamma_closed_form_integer_s():
-    # gamma(l+1, x) = l! (1 - e^{-x} sum_{k<=l} x^k/k!) at l = 2, x = 2/5.
-    x = Fraction(2, 5)
-    with mp.workdps(45):
-        xv = mp.mpf(2) / 5
-        expected = factorial(2) * (
-            1 - exp_series(-x, 35).value * (1 + xv + xv**2 / 2)
-        )
-        assert abs(lower_inc_gamma(3, x, 35).value - expected) < mpf(10) ** -33
-
-
-def test_lower_inc_gamma_domain_and_params():
-    with pytest.raises(ParameterError):
-        lower_inc_gamma(0, 1, 20)
-    with pytest.raises(ParameterError):
-        lower_inc_gamma(-2, 1, 20)
-    with pytest.raises(DomainError):
-        lower_inc_gamma(Fraction(1, 2), -1, 20)
-
-
 def test_inc_gamma_normalized_consistent_with_gamma():
-    # gamma(z, z) / (z^{z-1} e^{-z}) checked against the two-factor route at z = 2.
+    # gamma(z, z) / (z^{z-1} e^{-z}) checked against mpmath's gamma(2, 2) at z = 2.
     with mp.workdps(45):
         direct = inc_gamma_normalized(2, 35).value
-        via_gamma = lower_inc_gamma(2, 2, 35).value / (mpf(2) ** 1 * exp_series(-2, 35).value)
+        via_gamma = mp.gammainc(2, 0, 2) / (mpf(2) ** 1 * exp_series(-2, 35).value)
         assert abs(direct - via_gamma) < mpf(10) ** -32
 
 
@@ -125,20 +95,19 @@ def test_sigma_partial_rational_case():
 
 
 def test_taylor_remainder_matches_series():
+    # n^n/(n-1)! int_0^1 (1-t)^{n-1} e^{nt} dt = e^n - sum_{k<n} n^k/k!.
     with mp.workdps(40):
         for n in (1, 2, 3):
-            r = taylor_remainder(n, 30)
+            r = Fraction(n**n, factorial(n - 1)) * beta_exp_integral(n, 30).value
             partial = sum(Fraction(n**k, factorial(k)) for k in range(n))
-            expected = exp_series(n, 32).value - mpf(partial.numerator) / partial.denominator
-            assert abs(r.value - expected) < mpf(10) ** -28
-    with pytest.raises(ParameterError):
-        taylor_remainder(0, 20)
+            expected = mp.exp(n) - to_mp(partial)
+            assert abs(to_mp(r) - expected) < mpf(10) ** -28 * expected
 
 
 def test_exp_rational_integral_identity():
     with mp.workdps(40):
         for l, n in ((1, 2), (2, 3), (1, 5)):
-            lhs = exp_rational_integral(l, n, 25)
+            lhs = to_mp(exp_rational_integral(l, n, 25).value)
             rhs = n * exp_series(Fraction(l, n), 30).value
             assert abs(lhs - rhs) < mpf(10) ** -22
     with pytest.raises(ParameterError):
@@ -148,10 +117,50 @@ def test_exp_rational_integral_identity():
 def test_beta_exp_integral_values():
     with mp.workdps(40):
         # n = 1: int_0^1 e^t dt = e - 1.
-        assert abs(beta_exp_integral(1, 25) - (exp_series(1, 30).value - 1)) < mpf(10) ** -22
+        assert abs(to_mp(beta_exp_integral(1, 25).value) - (exp_series(1, 30).value - 1)) < mpf(10) ** -22
         # n = 2: int_0^1 (1-t) e^{2t} dt = (e^2 - 3)/4.
         assert abs(
-            beta_exp_integral(2, 25) - (exp_series(2, 30).value - 3) / 4
+            to_mp(beta_exp_integral(2, 25).value) - (exp_series(2, 30).value - 3) / 4
         ) < mpf(10) ** -22
     with pytest.raises(ParameterError):
         beta_exp_integral(0, 20)
+
+
+def _quad_beta(n):
+    return mp.quad(lambda t: (1 - t) ** (n - 1) * mp.exp(n * t), [0, 1])
+
+
+def _quad_rational(l, n):
+    # t = u^p with p = n/(n-l) removes the t^{-l/n} endpoint singularity.
+    p = mpf(n) / (n - l)
+    return mp.quad(lambda u: p * mp.exp(mpf(l) / n * u**p) * (l * (u**p - 1) + n), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "series, quadrature, args",
+    [pytest.param(beta_exp_integral, _quad_beta, (n,), id=f"beta-n{n}") for n in range(1, 13)]
+    + [
+        pytest.param(exp_rational_integral, _quad_rational, (l, n), id=f"kernel-l{l}-n{n}")
+        for n in range(2, 13)
+        for l in range(1, n)
+    ],
+)
+def test_integral_series_within_tail_bound_of_quadrature(series, quadrature, args):
+    result = series(*args, 50)
+    # The sum omits only positive terms, so it lies below the integral by at
+    # most the certified tail; mp.quad at 60 digits is a third witness.
+    with mp.workdps(60):
+        gap = abs(to_mp(result.value) - quadrature(*args))
+        assert gap <= to_mp(result.tail_bound) + mpf(10) ** -55
+    assert result.tail_bound * 10**50 < result.value
+
+
+def test_integral_series_stop_at_requested_digits():
+    for digits in (10, 40, 200):
+        beta = beta_exp_integral(4, digits)
+        kernel = exp_rational_integral(3, 7, digits)
+        for result in (beta, kernel):
+            assert isinstance(result.value, Fraction) and isinstance(result.tail_bound, Fraction)
+            assert 0 < result.tail_bound * 10**digits < result.value
+    # More digits need more terms.
+    assert beta_exp_integral(4, 200).terms_used > beta_exp_integral(4, 40).terms_used
