@@ -6,9 +6,9 @@ JSON with identical numeric content.  Exact rationals are serialized as
 "num/den" digit strings (bare integer when the denominator is 1); decimal
 strings carry exactly the requested number of significant digits.
 
-Exit status contract: 0 success, 1 verification failure or a value that
-could not be computed (depth cap, precision, singular), 2 usage error,
-3 domain error.
+Exit status contract: 0 success, 1 verification failure (also an eval value
+its oracle does not confirm) or a value that could not be computed (depth
+cap, precision, singular), 2 usage error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -102,11 +102,14 @@ def cmd_convergents(args) -> tuple[dict, int]:
 def cmd_eval(args) -> tuple[dict, int]:
     params, (spec,) = _spec_params(args, [args.expansion])
     value, depth = engine.estimate_limit(spec, args.digits)
-    oracle_delta = None
+    oracle_delta, status = None, EXIT_OK
     oracle = families.FAMILIES[args.expansion].oracle
     if oracle is not None:
         with mp.workdps(args.digits + 15):
-            oracle_delta = mp.nstr(abs(to_mp(value) - oracle(params, args.digits)), 5)
+            delta = abs(to_mp(value) - oracle(params, args.digits))
+            oracle_delta = mp.nstr(delta, 5)
+            if delta > mpf(10) ** (2 - args.digits) * max(1, abs(to_mp(value))):
+                status = EXIT_VERIFY_FAIL
     rows = [
         {
             "value": decimal_str(value, args.digits),
@@ -120,7 +123,7 @@ def cmd_eval(args) -> tuple[dict, int]:
         rows,
         {},
     )
-    return record, EXIT_OK
+    return record, status
 
 
 def cmd_diff_table(args) -> tuple[dict, int]:

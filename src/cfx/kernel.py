@@ -41,7 +41,7 @@ class SingularError(CFXError):
 
 
 class PrecisionError(CFXError):
-    """Two-precision agreement policy failed."""
+    """A series oracle did not converge or disagreed with itself."""
 
 
 class NonConvergenceError(CFXError):

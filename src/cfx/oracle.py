@@ -3,10 +3,9 @@
 These evaluators never touch the continued-fraction engine.  Every value is
 a power series summed term by term, in one of two ways:
 
-* the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``,
-  ``inc_gamma_normalized``) run in mpmath at ``_GUARD`` digits above the
-  target and stop once the term ratio is below 1/2 and the term below
-  10^-digits;
+* the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``, ``inc_gamma_normalized``)
+  wrap one mpmath loop, :func:`hyp_sum`, whose guard digits grow with the cancellation
+  among its terms (1/e^(-x) and Kummer's transformation avoid it for real x < 0);
 * the integral series (``beta_exp_integral``, ``exp_rational_integral``)
   integrate ``e^{ct}`` term by term in exact ``Fraction``s and stop once a
   certified geometric bound on the positive tail is below 10^-digits of the
@@ -19,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm, log10, prod
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 # Nothing in cfx integrates numerically.  The name stays importable because
 # benchmarks/tracing.py wraps ``oracle.quad`` to count quadrature calls.
@@ -33,11 +33,12 @@ from .kernel import (
     PrecisionError,
     Scalar,
     arg_in_cut_plane,
+    factorial,
     pochhammer,
-    to_mp,
 )
 
 _GUARD = 15
+_SPARE = 7  # guard digits that cancellation may use up; the rest covers rounding
 
 
 @dataclass(frozen=True)
@@ -53,112 +54,107 @@ class SeriesResult:
     tail_bound: Scalar
 
 
-def _is_nonpositive_integer(x) -> bool:
-    x = ComplexParam.coerce(x) if isinstance(x, (int, Fraction, complex, str, ComplexParam)) else x
-    if isinstance(x, ComplexParam):
-        return x.is_real and x.re <= 0 and x.re.denominator == 1
-    return x.imag == 0 and x.real <= 0 and x.real == int(x.real)
+def _is_nonpositive_integer(x: ComplexParam) -> bool:
+    return x.is_real and x.re <= 0 and x.re.denominator == 1
 
 
-def _sum_series(term_iter, digits: int) -> SeriesResult:
-    """Sum terms until |t_k| < 10^-digits with term ratio < 1/2.
+def _gaussian(x) -> tuple[int, int, int]:
+    """x = (p + iq)/d with integers p, q and d > 0."""
+    if isinstance(x, int):
+        return x, 0, 1
+    x = ComplexParam.coerce(x)
+    d = lcm(x.re.denominator, x.im.denominator)
+    return x.re.numerator * d // x.re.denominator, x.im.numerator * d // x.im.denominator, d
 
-    Once |t_{k+1}| <= |t_k|/2 the remaining tail is at most |t_k| by the
-    geometric majorant, so |t_k| itself is reported as the tail bound.
-    """
-    threshold = mpf(10) ** (-digits)
-    total = None
-    prev_abs = None
-    k = 0
-    for term in term_iter:
-        total = term if total is None else total + term
-        t_abs = abs(term)
-        if prev_abs is not None and t_abs <= prev_abs / 2 and t_abs < threshold:
-            return SeriesResult(total, k + 1, t_abs)
-        prev_abs = t_abs
-        k += 1
-        if k > 100000:
-            raise PrecisionError("series failed to converge")
+
+def hyp_sum(a, b, z, digits: int) -> SeriesResult:
+    """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
+
+    The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D of
+    Gaussian integers.  Stops at the first |t_k| <= |t_{k-1}|/2 with |t_k| <
+    10^-digits |sum|; the tail is then at most |t_k|, the reported bound.  A sum
+    whose largest term exceeds it by more digits than the guard can spare is
+    redone with the guard raised by the digits lost, until it covers them."""
+    (zp, zq, zd), a, b = _gaussian(z), [_gaussian(x) for x in a], [_gaussian(x) for x in b]
+    # The denominators of z and of the parameters are constant factors of N/D.
+    n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
+    guard = _GUARD
+    while True:
+        with mp.workdps(digits + guard):
+            total = term = mpf(1)
+            big = 1  # binary magnitude (mp.mag) of the largest term
+            cut = None  # 10^-digits |total|, refreshed when a term nears it
+            k = 0
+            while True:
+                nr, ni, dr, di = zp * n0, zq * n0, d0, 0
+                for p, q, d in a:
+                    nr, ni = nr * (p + k * d) - ni * q, nr * q + ni * (p + k * d)
+                for p, q, d in b:
+                    dr, di = dr * (p + k * d) - di * q, dr * q + di * (p + k * d)
+                n_norm, d_norm = nr * nr + ni * ni, dr * dr + di * di
+                re, im = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
+                term = term * (mpc(re, im) if im else re) / d_norm
+                total += term
+                k += 1
+                if 4 * n_norm > d_norm:  # |t_k| > |t_{k-1}|/2
+                    if n_norm > d_norm:
+                        big = max(big, mp.mag(term))
+                elif cut is None or mp.mag(term) <= cut_mag:
+                    t_abs, cut = abs(term), abs(total) / 10**digits
+                    if t_abs < cut or not t_abs:  # a zero term ends a terminating series
+                        break
+                    cut_mag = mp.mag(cut) + 1
+                if k > 100000:
+                    raise PrecisionError("series failed to converge")
+            lost = (big - mp.mag(total)) * log10(2) if total else 0
+            if lost <= guard - _GUARD + _SPARE:
+                return SeriesResult(total, k + 1, t_abs)
+            guard = _GUARD + ceil(lost)
 
 
 def exp_series(x, digits: int) -> SeriesResult:
-    """exp(x) = sum x^k / k!."""
+    """exp(x) = sum x^k / k!; for real x < 0, 1/exp(-x)."""
+    x = ComplexParam.coerce(x)
+    if not (x.is_real and x.re < 0):
+        return hyp_sum((), (1,), x, digits)
+    pos = hyp_sum((), (1,), -x, digits)
     with mp.workdps(digits + _GUARD):
-        xv = to_mp(ComplexParam.coerce(x).to_mp() if isinstance(x, (str, complex)) else x)
-
-        def terms():
-            t = mpf(1)
-            k = 0
-            while True:
-                yield t
-                k += 1
-                t = t * xv / k
-
-        return _sum_series(terms(), digits)
+        # A tail tau omitted from e^(-x) moves 1/e^(-x) by at most tau e^(2x).
+        return SeriesResult(1 / pos.value, pos.terms_used, pos.tail_bound / pos.value**2)
 
 
 def inc_gamma_normalized(z, digits: int) -> SeriesResult:
     """gamma(z, z) / (z^{z-1} e^{-z}), the fraction families' target value.
 
-    Equals z * sum_k z^k / (z)_{k+1}: the power and exponential factors
-    cancel, so no branch choices enter.
+    Equals z * sum_k z^k / (z)_{k+1} = 1F1(1; z+1; z): the power and
+    exponential factors cancel, so no branch choices enter.
     """
     z = ComplexParam.coerce(z)
     if not arg_in_cut_plane(z):
         raise DomainError(f"z = {z} is not in the cut plane")
-    with mp.workdps(digits + _GUARD):
-        zv = z.to_mp()
-
-        def terms():
-            t = zv / zv  # one, in the right type
-            k = 0
-            while True:
-                yield t
-                k += 1
-                t = t * zv / (zv + k)
-
-        inner = _sum_series(terms(), digits + 5)
-        return SeriesResult(inner.value, inner.terms_used, inner.tail_bound)
+    return hyp_1f1(z + 1, z, digits + 5)
 
 
 def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
-    """1F1(1; b_den; z) = sum_k z^k / (b_den)_k (numerator parameter 1)."""
-    b_den = ComplexParam.coerce(b_den)
+    """1F1(1; b_den; z) = sum_k z^k / (b_den)_k; for real z < 0 it is summed
+    as e^z 1F1(b_den - 1; b_den; -z) (Kummer, DLMF 13.2.39)."""
+    b_den, z = ComplexParam.coerce(b_den), ComplexParam.coerce(z)
     if _is_nonpositive_integer(b_den):
         raise ParameterError(f"b = {b_den} is a pole of 1F1")
-    z = ComplexParam.coerce(z)
+    if not (z.is_real and z.re < 0):
+        return hyp_sum((), (b_den,), z, digits)
+    e, f = exp_series(z, digits), hyp_sum((b_den - 1,), (b_den, 1), -z, digits)
     with mp.workdps(digits + _GUARD):
-        bv, zv = b_den.to_mp(), z.to_mp()
-
-        def terms():
-            t = mpf(1)
-            k = 0
-            while True:
-                yield t
-                t = t * zv / (bv + k)
-                k += 1
-
-        return _sum_series(terms(), digits)
+        tail = e.value * f.tail_bound + abs(f.value) * e.tail_bound
+        return SeriesResult(e.value * f.value, e.terms_used + f.terms_used, tail)
 
 
 def hyp_2f2(a1, a2, b1, b2, z, digits: int) -> SeriesResult:
     """2F2(a1, a2; b1, b2; z) = sum_k (a1)_k (a2)_k / ((b1)_k (b2)_k) z^k / k!."""
     for b in (b1, b2):
-        if _is_nonpositive_integer(b):
+        if _is_nonpositive_integer(ComplexParam.coerce(b)):
             raise ParameterError(f"denominator parameter {b} is a pole of 2F2")
-    vals = [ComplexParam.coerce(v) for v in (a1, a2, b1, b2, z)]
-    with mp.workdps(digits + _GUARD):
-        a1v, a2v, b1v, b2v, zv = (v.to_mp() for v in vals)
-
-        def terms():
-            t = mpf(1)
-            k = 0
-            while True:
-                yield t
-                t = t * (a1v + k) * (a2v + k) / ((b1v + k) * (b2v + k)) * zv / (k + 1)
-                k += 1
-
-        return _sum_series(terms(), digits)
+    return hyp_sum((a1, a2), (b1, b2, 1), z, digits)
 
 
 def sigma_partial(param, depth: int) -> Fraction:
@@ -170,8 +166,6 @@ def sigma_partial(param, depth: int) -> Fraction:
     Each term is computed both as the product prod (b_j + t_j)/(-t_j) and as
     the hypergeometric term, and the two are asserted equal.
     """
-    from .kernel import factorial
-
     if depth < 0:
         raise ParameterError("depth must be >= 0")
     if isinstance(param, tuple):

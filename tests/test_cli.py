@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import io
 import json
+import time
 
 import pytest
+from mpmath import mpf
 
-from cfx import cli, oracle
+from cfx import cli, families, oracle
 from cfx.identities import VerificationReport
 from cfx.kernel import PrecisionError
 
@@ -69,6 +72,43 @@ def test_eval_reports_oracle_delta(capsys):
     row = record["rows"][0]
     assert row["value"].startswith("2.71828182845904523536")
     assert row["oracle_delta"] is not None
+
+
+def test_eval_oracle_disagreement_exit_1(capsys, monkeypatch):
+    family = families.FAMILIES["exp-n"]
+    off = dataclasses.replace(
+        family, oracle=lambda params, digits: family.oracle(params, digits) * (1 + mpf("1e-5"))
+    )
+    monkeypatch.setitem(families.FAMILIES, "exp-n", off)
+    status, out, _ = run_cli(
+        capsys, "eval", "--expansion", "exp-n", "--n", "2", "--digits", "30", "--format", "json"
+    )
+    # The record is printed, and the value itself is still right.
+    assert status == 1
+    row = json.loads(out)["rows"][0]
+    assert row["value"].startswith("7.38905609893065022723")
+    assert mpf(row["oracle_delta"]) > mpf("1e-5")
+
+
+def test_eval_large_negative_z_oracle_confirms(capsys):
+    status, out, _ = run_cli(
+        capsys, "eval", "--expansion", "m-fraction", "--b", "1", "--z", "-200",
+        "--digits", "30", "--format", "json",
+    )
+    assert status == 0
+    row = json.loads(out)["rows"][0]
+    assert row["value"] == "0.00499999999999999999999999999999"
+    assert mpf(row["oracle_delta"]) < mpf("1e-28")
+
+
+def test_eval_huge_negative_z_is_fast(capsys):
+    start = time.monotonic()
+    status, out, err = run_cli(
+        capsys, "eval", "--expansion", "m-fraction", "--b", "1", "--z", "-40000", "--digits", "5"
+    )
+    assert time.monotonic() - start < 5
+    assert status == 0 and "Traceback" not in err
+    assert "2.5000e-5" in out
 
 
 def test_eval_complex_parameter_negative_literal(capsys):
@@ -302,6 +342,15 @@ def test_verify_empty_grid_exit_2(capsys, argv, message):
     status, out, err = run_cli(capsys, "verify", *argv)
     assert status == 2
     assert message in err
+    assert out == ""
+
+
+def test_verify_repeated_suite_id_exit_2(capsys):
+    status, out, err = run_cli(
+        capsys, "verify", "--suite", "diff,diff", "--max-n", "2", "--depth", "5"
+    )
+    assert status == 2
+    assert "repeated suite ids: ['diff']" in err
     assert out == ""
 
 

@@ -215,6 +215,20 @@ def test_thm31_passes_on_sample_set():
         assert check_thm31(z).passed
 
 
+def test_thm31_cross_check_sees_a_wrong_exp_series(monkeypatch):
+    # inc_gamma_normalized never calls exp_series on the cut plane, so only the
+    # Kummer form e^z 1F1(z; z+1; -z) of the cross-check moves.
+    exact = oracle.exp_series
+
+    def off(x, digits):
+        result = exact(x, digits)
+        return dataclasses.replace(result, value=result.value * (1 + mpf(10) ** -20))
+
+    monkeypatch.setattr(oracle, "exp_series", off)
+    for z in CUT_PLANE_SAMPLES:
+        assert check_thm31(z).passed is False
+
+
 def test_thm41_passes():
     for n in range(2, 7):
         for l in range(1, n):
@@ -300,6 +314,11 @@ def test_run_suite_single_id_string():
 def test_run_suite_rejects_unknown_id():
     with pytest.raises(ParameterError):
         run_suite(["diff", "bogus"])
+
+
+def test_run_suite_rejects_repeated_id():
+    with pytest.raises(ParameterError, match=r"repeated suite ids: \['diff'\]"):
+        run_suite(["diff", "qform", "diff"], max_n=2, k_max=5)
 
 
 def test_suite_ids_cover_all_dispatch_branches():

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from cfx.kernel import ParameterError, factorial, to_mp
+from cfx.kernel import ComplexParam, ParameterError, factorial, to_mp
 from cfx.oracle import (
     beta_exp_integral,
     exp_rational_integral,
     exp_series,
     hyp_1f1,
     hyp_2f2,
+    hyp_sum,
     inc_gamma_normalized,
     sigma_partial,
 )
@@ -61,6 +62,9 @@ def test_hyp_2f2_special_values():
         assert abs(
             hyp_2f2(1, 1, 3, 4, 2, 35).value - mpf(3) / 2 * (3 - (e2 - 3) / 2)
         ) < mpf(10) ** -32
+    # Terminating series: 1 - 1 and 1 - 2 + 1/2.
+    assert hyp_2f2(-1, 1, 1, 1, 1, 20).value == 0
+    assert hyp_2f2(-2, 1, 1, 1, 1, 20).value == mpf(-1) / 2
     with pytest.raises(ParameterError):
         hyp_2f2(1, 1, 0, 3, 1, 20)
 
@@ -164,3 +168,80 @@ def test_integral_series_stop_at_requested_digits():
             assert 0 < result.tail_bound * 10**digits < result.value
     # More digits need more terms.
     assert beta_exp_integral(4, 200).terms_used > beta_exp_integral(4, 40).terms_used
+
+
+# Arguments for the float oracles: real x from -1 to -300, large |z|, complex
+# z with Re z < 0, and points 10^-10 from the cut.
+NEAR_CUT = (ComplexParam(Fraction(-3), Fraction(1, 10**10)),
+            ComplexParam(Fraction(-3), Fraction(-1, 10**10)))
+REAL_NEGATIVE = (-1, Fraction(-7, 2), -50, -100, -200, -300)
+LEFT_COMPLEX = (ComplexParam(Fraction(-1), Fraction(2)), ComplexParam(Fraction(-20), Fraction(5)),
+                ComplexParam(Fraction(-45, 2), Fraction(-3, 4)))
+LARGE = (150, 300, ComplexParam(Fraction(0), Fraction(60)))
+
+
+def _mp_value(x):
+    return ComplexParam.coerce(x).to_mp()
+
+
+def _assert_relative(value, reference, digits):
+    assert abs(value - reference) <= mpf(10) ** (1 - digits) * abs(reference)
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("x", REAL_NEGATIVE + LEFT_COMPLEX + LARGE + NEAR_CUT, ids=str)
+def test_exp_series_against_mp_exp(x, digits):
+    value = exp_series(x, digits).value
+    with mp.workdps(digits + 20):
+        _assert_relative(value, mp.exp(_mp_value(x)), digits)
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("b, z", [(b, z) for b in (2, Fraction(3, 2), ComplexParam(Fraction(3), Fraction(1)))
+                                  for z in REAL_NEGATIVE + LEFT_COMPLEX + LARGE]
+                         + [(z + 1, z) for z in NEAR_CUT], ids=str)
+def test_hyp_1f1_against_mp_hyp1f1(b, z, digits):
+    value = hyp_1f1(b, z, digits).value
+    with mp.workdps(digits + 20):
+        _assert_relative(value, mp.hyp1f1(1, _mp_value(b), _mp_value(z)), digits)
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("z", (-1, Fraction(-7, 2), Fraction(-101, 2), Fraction(-201, 2), 100)
+                         + LEFT_COMPLEX + NEAR_CUT, ids=str)
+def test_hyp_2f2_against_mp_hyp2f2(z, digits):
+    # Lemma 2.3's 2F2(1, 1; 3, z + 2; z), which has a pole at every integer
+    # z <= -2, and a rational-exponent 2F2.
+    z = ComplexParam.coerce(z)
+    for params in ((1, 1, 3, z + 2), (Fraction(3, 2), 1, 3, Fraction(7, 2))):
+        value = hyp_2f2(*params, z, digits).value
+        with mp.workdps(digits + 20):
+            reference = mp.hyp2f2(*(_mp_value(p) for p in params), _mp_value(z))
+            _assert_relative(value, reference, digits)
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+@pytest.mark.parametrize("z", (Fraction(1, 2), 40, 150) + LEFT_COMPLEX + NEAR_CUT, ids=str)
+def test_inc_gamma_normalized_against_mp_gammainc(z, digits):
+    value = inc_gamma_normalized(z, digits).value
+    with mp.workdps(digits + 40):
+        zv = _mp_value(z)
+        reference = mp.gammainc(zv, 0, zv) / (zv ** (zv - 1) * mp.exp(-zv))
+        _assert_relative(value, reference, digits)
+
+
+def test_negative_real_arguments_sum_positive_terms():
+    # 1/e^(-x) and Kummer's form cost what the positive argument costs; an
+    # alternating sum would need a guard of about 130 digits more at x = -300.
+    assert exp_series(-300, 30).terms_used == exp_series(300, 30).terms_used
+    kummer = hyp_1f1(2, -300, 30).terms_used
+    assert kummer == exp_series(300, 30).terms_used + hyp_sum((1,), (2, 1), 300, 30).terms_used
+
+
+def test_guard_widens_until_it_covers_the_cancellation():
+    # e^(400i) has modulus 1 and terms up to 10^172.  At 5 + 15 digits the
+    # first sum is all rounding, so the loss it measures is a lower bound;
+    # the guard widens until a sum confirms its own loss.
+    value = exp_series(ComplexParam(Fraction(0), Fraction(400)), 5).value
+    with mp.workdps(200):
+        _assert_relative(value, mp.exp(400j), 5)
