@@ -34,8 +34,6 @@ from .families import (
 )
 from .identities import SUITE_IDS, VerificationReport, run_suite
 from .kernel import (
-    BigInt,
-    BigRational,
     CFXError,
     ComplexParam,
     DomainError,

@@ -23,10 +23,10 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import engine, families, identities
-from .kernel import CFXError, ComplexParam, DomainError, NonConvergenceError, ParameterError, to_mp
+from .kernel import CFXError, ComplexParam, DomainError, NonConvergenceError, ParameterError, agrees, to_mp
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -106,10 +106,10 @@ def cmd_eval(args) -> tuple[dict, int]:
     oracle = families.FAMILIES[args.expansion].oracle
     if oracle is not None:
         with mp.workdps(args.digits + 15):
-            delta = abs(to_mp(value) - oracle(params, args.digits))
-            oracle_delta = mp.nstr(delta, 5)
-            if delta > mpf(10) ** (2 - args.digits) * max(1, abs(to_mp(value))):
-                status = EXIT_VERIFY_FAIL
+            target = oracle(params, args.digits)
+            oracle_delta = mp.nstr(abs(to_mp(value) - target), 5)
+        if not agrees(value, target, args.digits - 2):
+            status = EXIT_VERIFY_FAIL
     rows = [
         {
             "value": decimal_str(value, args.digits),
@@ -191,12 +191,8 @@ def cmd_compare(args) -> tuple[dict, int]:
         for j in range(i + 1, len(specs)):
             _, idx = families.same_convergents(specs[i], specs[j], args.depth)
             matrix[f"{specs[i].name}|{specs[j].name}"] = idx
-    with mp.workdps(args.digits + 15):
-        limits = [to_mp(engine.estimate_limit(s, args.digits)[0]) for s in specs]
-        agree = all(
-            abs(limits[0] - v) <= mpf(10) ** (-(args.digits - 2)) * max(1, abs(limits[0]))
-            for v in limits[1:]
-        )
+    limits = [engine.estimate_limit(s, args.digits)[0] for s in specs]
+    agree = all(agrees(limits[0], v, args.digits - 2) for v in limits[1:])
     record = _record(
         "compare",
         {

@@ -230,11 +230,7 @@ class TailSequence:
         return self.t(j - 1) * (rule.b(j) + self.t(j)) == rule.a(j)
 
 
-def estimate_limit(
-    spec: ExpansionSpec,
-    target_digits: int,
-    max_depth: Optional[int] = None,
-) -> tuple[Scalar, int]:
+def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int]:
     """Iterate convergents until two consecutive steps move by < 10^-digits.
 
     The stopping test is |C_k - C_{k-1}| < 10^-target_digits * max(1, |C_k|)
@@ -245,7 +241,7 @@ def estimate_limit(
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.
     """
-    cap = max_depth if max_depth is not None else depth_cap()
+    cap = depth_cap()
     tol = 100**target_digits  # 10^d, squared
     alpha, beta, gamma, delta = spec.mobius
     step2 = _norm2(alpha * delta - beta * gamma)  # |D_k|^2, once a_k is in

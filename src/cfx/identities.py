@@ -3,10 +3,12 @@ claims, and :data:`CLAIMS`, which gives each claim id of the verification
 suite its parameter grid and the digits it checks.
 
 Each check produces a :class:`VerificationReport`.  Exact-ring claims are
-checked by exact equality, never tolerances; claims checked against series
-oracles state how many digits of the working precision must agree.  The
-``integrals`` claim sums both integral representations as exact series with
-certified tails (no quadrature) and reports the tail bound in its witness.
+checked by exact equality, never tolerances.  A claim checked against a
+series oracle checks ``--digits`` less the claim's margin, with no upper cap,
+by :func:`kernel.agrees`; one helper rounds, compares and prints its values
+at the claim's working precision.  The ``integrals`` claim sums both integral
+representations as exact series with certified tails (no quadrature) and
+reports the tail bound in its witness.
 The printed difference table has one wrong entry (-1/784 where exact
 subtraction gives -1/288); the difference check reports -1/288 and records
 the discrepancy as a note rather than failing.
@@ -32,7 +34,7 @@ from .families import (
     make_rat_exp,
     same_convergents,
 )
-from .kernel import ComplexParam, ParameterError, factorial, pochhammer, to_mp
+from .kernel import ComplexParam, ParameterError, agrees, factorial, pochhammer, to_mp
 from . import oracle
 
 # z sample set for the cut-plane checks.
@@ -64,8 +66,24 @@ class VerificationReport:
     note: Optional[str] = None
 
 
-def _agree_digits(a, b, digits: int) -> bool:
-    return abs(a - b) <= mpf(10) ** (-digits) * max(1, abs(a))
+def _oracle_report(claim_id: str, params: dict, expected, actual, agree: int,
+                   shown: int = 25, **witness) -> VerificationReport:
+    """The report that ``actual`` agrees with the oracle value ``expected`` to
+    ``agree`` digits.
+
+    Call it inside the claim's working precision: both values are rounded
+    there, printed to ``shown`` digits, and their difference is the witness
+    ``abs_diff``, next to the extra ``witness`` fields.
+    """
+    x, y = to_mp(expected), to_mp(actual)
+    return VerificationReport(
+        claim_id=claim_id,
+        params=params,
+        expected=mp.nstr(x, shown),
+        actual=mp.nstr(y, shown),
+        passed=agrees(expected, actual, agree),
+        witness={"abs_diff": mp.nstr(abs(x - y), 5), **witness},
+    )
 
 
 def check_recurrence_solution_thm2(n: int, k_max: int) -> VerificationReport:
@@ -266,22 +284,17 @@ def check_lemma23(z: ComplexParam, digits: int = 40, agree: int = 35) -> Verific
         lhs = oracle.hyp_2f2(1, 1, 3, z + 2, z, digits).value
         g = oracle.inc_gamma_normalized(z, digits).value
         rhs = 2 * (zv + 1) / zv**2 * (1 + zv - g)
-        ok = _agree_digits(lhs, rhs, agree)
-        return VerificationReport(
-            claim_id="lemma23",
-            params={"z": str(z), "digits": digits, "agree": agree},
-            expected=mp.nstr(lhs, agree if agree < 25 else 25),
-            actual=mp.nstr(rhs, agree if agree < 25 else 25),
-            passed=ok,
-            witness={"abs_diff": mp.nstr(abs(lhs - rhs), 5)},
-        )
+        params = {"z": str(z), "digits": digits, "agree": agree}
+        return _oracle_report("lemma23", params, lhs, rhs, agree, shown=min(agree, 25))
 
 
 def check_lemma42(l: int, n: int, digits: int = 40, agree: int = 35) -> VerificationReport:
     """The rational-exponent 2F2 special value against its bracket form.
 
     The gamma-function ratio Gamma(x+3)/Gamma(x+1) with x = (n-1)l/n is
-    (x+1)(x+2), kept exact.
+    (x+1)(x+2), kept exact.  The bracket's e^{l/n} less its Taylor polynomial
+    of degree l is summed as (l/n)^{l+1}/(l+1)! 1F1(1; l+2; l/n), so no
+    digits cancel.
     """
     if not (1 <= l < n):
         raise ParameterError("requires 1 <= l < n")
@@ -293,23 +306,14 @@ def check_lemma42(l: int, n: int, digits: int = 40, agree: int = 35) -> Verifica
         ).value
         gamma_ratio = (x + 1) * (x + 2)
         pref = to_mp(Fraction(factorial(l + 1) * n ** (l + 1), l ** (l + 1)) * gamma_ratio)
-        e_ln = oracle.exp_series(Fraction(l, n), digits).value
-        partial = sum(Fraction(l**k, factorial(k) * n**k) for k in range(l + 1))
+        remainder = to_mp(zp.re ** (l + 1) / factorial(l + 1)) * oracle.hyp_1f1(l + 2, zp, digits).value
         bracket = (
-            mpf(n) / l * (to_mp(partial) - e_ln)
+            -mpf(n) / l * remainder
             + to_mp(Fraction(l ** (l - 1), factorial(l - 1) * n ** (l - 1)))
             * to_mp(Fraction(1, (n + 1) * (l + 1) - 1 - 2 * l))
         )
-        rhs = pref * bracket
-        ok = _agree_digits(lhs, rhs, agree)
-    return VerificationReport(
-        claim_id="lemma42",
-        params={"l": l, "n": n, "digits": digits, "agree": agree},
-        expected=mp.nstr(lhs, 25),
-        actual=mp.nstr(rhs, 25),
-        passed=ok,
-        witness={"abs_diff": mp.nstr(abs(lhs - rhs), 5)},
-    )
+        params = {"l": l, "n": n, "digits": digits, "agree": agree}
+        return _oracle_report("lemma42", params, lhs, pref * bracket, agree)
 
 
 def check_thm31(z: ComplexParam, digits: int = 40, agree: int = 30) -> VerificationReport:
@@ -323,17 +327,10 @@ def check_thm31(z: ComplexParam, digits: int = 40, agree: int = 30) -> Verificat
     with mp.workdps(digits + 15):
         target = oracle.inc_gamma_normalized(z, digits).value
         kummer = oracle.exp_series(z, digits).value * oracle.hyp_sum((z,), (z + 1, 1), -z, digits).value
-        ok = _agree_digits(to_mp(value), target, agree)
-        ok = ok and _agree_digits(kummer, target, agree)
-        diff = mp.nstr(abs(to_mp(value) - target), 5)
-    return VerificationReport(
-        claim_id="thm31",
-        params={"z": str(z), "digits": digits, "agree": agree},
-        expected=mp.nstr(target, 25),
-        actual=mp.nstr(to_mp(value), 25),
-        passed=ok,
-        witness={"depth": depth, "abs_diff": diff},
-    )
+        params = {"z": str(z), "digits": digits, "agree": agree}
+        report = _oracle_report("thm31", params, target, value, agree, depth=depth)
+    report.passed = report.passed and agrees(target, kummer, agree)
+    return report
 
 
 def check_thm41(l: int, n: int, digits: int = 30) -> VerificationReport:
@@ -342,16 +339,8 @@ def check_thm41(l: int, n: int, digits: int = 30) -> VerificationReport:
     value, depth = estimate_limit(spec, digits + 5)
     with mp.workdps(digits + 15):
         target = oracle.exp_series(Fraction(l, n), digits + 5).value
-        ok = _agree_digits(to_mp(value), target, digits)
-        diff = mp.nstr(abs(to_mp(value) - target), 5)
-    return VerificationReport(
-        claim_id="thm41",
-        params={"l": l, "n": n, "digits": digits},
-        expected=mp.nstr(target, 25),
-        actual=mp.nstr(to_mp(value), 25),
-        passed=ok,
-        witness={"depth": depth, "abs_diff": diff},
-    )
+        params = {"l": l, "n": n, "digits": digits}
+        return _oracle_report("thm41", params, target, value, digits, depth=depth)
 
 
 # The integral checks sum their series to ``digits`` and compare
@@ -364,19 +353,10 @@ def check_rational_integral(l: int, n: int, digits: int = 25) -> VerificationRep
     integral series against exp_series(l/n), to ``digits`` - 3 digits."""
     series = oracle.exp_rational_integral(l, n, digits)
     with mp.workdps(digits + 15):
-        lhs = to_mp(series.value)
         rhs = n * oracle.exp_series(Fraction(l, n), digits).value
-        ok = _agree_digits(lhs, rhs, digits - INTEGRAL_MARGIN)
-        diff = mp.nstr(abs(lhs - rhs), 5)
-        tail = mp.nstr(to_mp(series.tail_bound), 5)
-    return VerificationReport(
-        claim_id="integrals",
-        params={"kind": "rational-kernel", "l": l, "n": n, "digits": digits},
-        expected=mp.nstr(rhs, 20),
-        actual=mp.nstr(lhs, 20),
-        passed=ok,
-        witness={"abs_diff": diff, "tail_bound": tail},
-    )
+        params = {"kind": "rational-kernel", "l": l, "n": n, "digits": digits}
+        return _oracle_report("integrals", params, rhs, series.value, digits - INTEGRAL_MARGIN,
+                              shown=20, tail_bound=mp.nstr(to_mp(series.tail_bound), 5))
 
 
 def check_beta_integral(n: int, digits: int = 25) -> VerificationReport:
@@ -390,18 +370,9 @@ def check_beta_integral(n: int, digits: int = 25) -> VerificationReport:
     alpha, beta, _, delta = spec.mobius
     cf_side = (cf_value * delta - beta) / (alpha * n)
     with mp.workdps(digits + 15):
-        lhs, rhs = to_mp(series.value), to_mp(cf_side)
-        ok = _agree_digits(lhs, rhs, digits - INTEGRAL_MARGIN)
-        diff = mp.nstr(abs(lhs - rhs), 5)
-        tail = mp.nstr(to_mp(series.tail_bound), 5)
-    return VerificationReport(
-        claim_id="integrals",
-        params={"kind": "beta-exp", "n": n, "digits": digits},
-        expected=mp.nstr(rhs, 20),
-        actual=mp.nstr(lhs, 20),
-        passed=ok,
-        witness={"abs_diff": diff, "cf_depth": depth, "tail_bound": tail},
-    )
+        params = {"kind": "beta-exp", "n": n, "digits": digits}
+        return _oracle_report("integrals", params, cf_side, series.value, digits - INTEGRAL_MARGIN,
+                              shown=20, cf_depth=depth, tail_bound=mp.nstr(to_mp(series.tail_bound), 5))
 
 
 def check_nonequivalence(depth: int = 10, digits: int = 25) -> VerificationReport:
@@ -425,14 +396,9 @@ def check_nonequivalence(depth: int = 10, digits: int = 25) -> VerificationRepor
     pair_results[f"{f1.name} vs {f2.name}"] = idx
     all_differ &= not same
 
-    limits_ok = True
-    with mp.workdps(digits + 15):
-        e_limits = [to_mp(estimate_limit(s, digits + 3)[0]) for s in e_specs]
-        for v in e_limits[1:]:
-            limits_ok &= _agree_digits(e_limits[0], v, digits)
-        va = to_mp(estimate_limit(f1, digits + 3)[0])
-        vb = to_mp(estimate_limit(f2, digits + 3)[0])
-        limits_ok &= _agree_digits(va, vb, digits)
+    e_limits = [estimate_limit(s, digits + 3)[0] for s in e_specs]
+    f_limits = [estimate_limit(s, digits + 3)[0] for s in (f1, f2)]
+    limits_ok = all(agrees(e_limits[0], v, digits) for v in e_limits[1:]) and agrees(*f_limits, digits)
     return VerificationReport(
         claim_id="nonequiv",
         params={"depth": depth, "digits": digits},
@@ -449,7 +415,7 @@ class Claim:
 
     ``grid(max_n, k_max, digits, agree)`` yields the claim's reports over its
     parameter grid.  A claim checked against an oracle to a tolerance checks
-    ``agree = digits - margin`` digits, at most ``cap`` if it has one; an
+    ``agree = digits - margin`` digits, however large ``digits`` is; an
     exact claim has ``margin = None`` and gets ``agree = None``.  ``depth_cap``
     bounds the ``k_max`` the grid gets.  ``min_n`` is the smallest ``max_n``
     the claim accepts: 1, as on the command line, or 2 for a grid over
@@ -458,16 +424,12 @@ class Claim:
 
     id: str
     grid: Callable[[int, int, int, Optional[int]], Iterable[VerificationReport]]
-    cap: Optional[int] = None
     margin: Optional[int] = None
     depth_cap: Optional[int] = None
     min_n: int = 1
 
     def agree(self, digits: int) -> Optional[int]:
-        if self.margin is None:
-            return None
-        agree = digits - self.margin
-        return agree if self.cap is None else min(self.cap, agree)
+        return None if self.margin is None else digits - self.margin
 
 
 def _pairs(max_n: int):
@@ -490,15 +452,15 @@ CLAIMS = {claim.id: claim for claim in (
     Claim("rate", lambda max_n, k_max, digits, agree: (
         check_rate_bound(n, k_max, digits) for n in range(1, max_n + 1)), depth_cap=40),
     Claim("lemma23", lambda max_n, k_max, digits, agree: (
-        check_lemma23(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=35, margin=5),
+        check_lemma23(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), margin=5),
     Claim("lemma42", lambda max_n, k_max, digits, agree: (
         check_lemma42(l, n, digits, agree=agree) for l, n in _pairs(max_n)),
-        cap=35, margin=5, min_n=2),
+        margin=5, min_n=2),
     Claim("thm31", lambda max_n, k_max, digits, agree: (
-        check_thm31(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), cap=30, margin=10),
+        check_thm31(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), margin=10),
     Claim("thm41", lambda max_n, k_max, digits, agree: (
         check_thm41(l, n, digits=agree) for l, n in _pairs(max_n)),
-        cap=30, margin=0, min_n=2),
+        margin=0, min_n=2),
     Claim("integrals", lambda max_n, k_max, digits, agree: itertools.chain(
         (check_beta_integral(n, digits) for n in range(1, max_n + 1)),
         (check_rational_integral(l, n, digits) for l, n in _pairs(max_n)),

@@ -3,7 +3,8 @@
 The engine runs in one exact ring: Python ints, ``fractions.Fraction`` and
 the Gaussian rationals of :class:`ComplexParam`.  mpmath ``mpf``/``mpc``
 values appear only when an exact value is rounded (:func:`to_mp`, at the
-caller's ambient precision) for output or for comparison with an oracle.
+caller's ambient precision) for output, or by :func:`agrees` for comparison
+with an oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from mpmath import mpc, mpf
-
-# Type aliases for the exact side.  Python ints are already sign+magnitude
-# arbitrary precision and Fraction keeps den > 0, gcd(num, den) = 1.
-BigInt = int
-BigRational = Fraction
+from mpmath import mp, mpc, mpf
 
 Scalar = Union[int, Fraction, "ComplexParam", mpf, mpc]
 
@@ -48,7 +44,7 @@ class NonConvergenceError(CFXError):
     """Iteration hit its depth cap before reaching the target accuracy."""
 
 
-def factorial(k: int) -> BigInt:
+def factorial(k: int) -> int:
     """k! as an exact integer."""
     if k < 0:
         raise ParameterError("factorial requires k >= 0")
@@ -193,21 +189,10 @@ def arg_in_cut_plane(z) -> bool:
     For negative real part the imaginary part must exceed 10^-15, so values
     indistinguishable from the cut at 30 working digits are rejected.
     """
-    z = ComplexParam.coerce(z) if isinstance(z, (ComplexParam, Fraction, int, complex, str)) else z
-    if isinstance(z, ComplexParam):
-        if z == 0:
-            raise DomainError("z = 0 is not in the cut plane")
-        if z.re >= 0:
-            return True
-        return abs(z.im) > Fraction(1, 10**_CUT_DIGITS)
-    # mpf / mpc
-    re_v = getattr(z, "real", z)
-    im_v = getattr(z, "imag", 0)
-    if re_v == 0 and im_v == 0:
+    z = ComplexParam.coerce(z)
+    if z == 0:
         raise DomainError("z = 0 is not in the cut plane")
-    if re_v >= 0:
-        return True
-    return abs(im_v) > mpf(10) ** -_CUT_DIGITS
+    return z.re >= 0 or abs(z.im) > Fraction(1, 10**_CUT_DIGITS)
 
 
 def to_mp(x: Scalar) -> Scalar:
@@ -219,3 +204,18 @@ def to_mp(x: Scalar) -> Scalar:
     if isinstance(x, ComplexParam):
         return x.to_mp()
     return x
+
+
+def agrees(a: Scalar, b: Scalar, digits: int) -> bool:
+    """|a - b| <= 10^-digits max(1, |a|): the one agreement rule of the claim
+    checks and the CLI self-checks.
+
+    Two ints or Fractions are compared exactly.  Otherwise both sides are
+    rounded with :func:`to_mp` at ``digits`` + 10 digits, whatever the ambient
+    precision, and compared there.
+    """
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return abs(a - b) * Fraction(10) ** digits <= max(1, abs(a))
+    with mp.workdps(digits + 10):
+        a, b = to_mp(a), to_mp(b)
+        return abs(a - b) <= mpf(10) ** -digits * max(1, abs(a))

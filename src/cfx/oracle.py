@@ -74,10 +74,13 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     Gaussian integers.  Stops at the first |t_k| <= |t_{k-1}|/2 with |t_k| <
     10^-digits |sum|; the tail is then at most |t_k|, the reported bound.  A sum
     whose largest term exceeds it by more digits than the guard can spare is
-    redone with the guard raised by the digits lost, until it covers them."""
+    redone with the guard raised by the digits lost, until it covers them.  The
+    ratio test cannot hold before k ~ 2|z|, so the term budget grows with |z|;
+    a sum that outruns it raises PrecisionError."""
     (zp, zq, zd), a, b = _gaussian(z), [_gaussian(x) for x in a], [_gaussian(x) for x in b]
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
+    budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd
     guard = _GUARD
     while True:
         with mp.workdps(digits + guard):
@@ -104,7 +107,7 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
                     if t_abs < cut or not t_abs:  # a zero term ends a terminating series
                         break
                     cut_mag = mp.mag(cut) + 1
-                if k > 100000:
+                if k > budget:
                     raise PrecisionError("series failed to converge")
             lost = (big - mp.mag(total)) * log10(2) if total else 0
             if lost <= guard - _GUARD + _SPARE:

@@ -111,6 +111,17 @@ def test_eval_huge_negative_z_is_fast(capsys):
     assert "2.5000e-5" in out
 
 
+def test_eval_term_budget_grows_with_z(capsys):
+    # The oracle's ratio test holds only from k ~ 2|z|, past a fixed 100000 terms.
+    start = time.monotonic()
+    status, out, err = run_cli(
+        capsys, "eval", "--expansion", "m-fraction", "--b", "1", "--z", "-60000", "--digits", "5"
+    )
+    assert time.monotonic() - start < 10
+    assert status == 0 and err == ""
+    assert "1.6667e-5" in out
+
+
 def test_eval_complex_parameter_negative_literal(capsys):
     status, out, _ = run_cli(
         capsys,

@@ -229,6 +229,33 @@ def test_thm31_cross_check_sees_a_wrong_exp_series(monkeypatch):
         assert check_thm31(z).passed is False
 
 
+def test_lemma42_checks_200_digits():
+    # Summed as e^(l/n) - sum_{k<=l} (l/n)^k/k!, the bracket cancelled up to 8 digits.
+    assert check_lemma42(10, 12, 200, agree=195).passed
+
+
+def test_oracle_claims_print_values_at_working_precision():
+    # The checks run at the default 15 digits; the 25 printed digits must
+    # still be those of the claim's working precision.
+    reports = [check_thm31(z) for z in CUT_PLANE_SAMPLES if z.is_real]
+    reports += [check_thm41(l, n) for n in range(2, 5) for l in range(1, n)]
+    with mp.workdps(30):
+        for r in reports:
+            assert abs(mpf(r.actual) - mpf(r.expected)) < mpf(10) ** -23, r
+
+
+def test_thm41_sees_a_wrong_exp_series_at_200_digits(monkeypatch):
+    exact = oracle.exp_series
+
+    def off(x, digits):
+        result = exact(x, digits)
+        return dataclasses.replace(result, value=result.value * (1 + mpf(10) ** -100))
+
+    monkeypatch.setattr(oracle, "exp_series", off)
+    reports = run_suite(["thm41"], max_n=3, digits=200)
+    assert len(reports) == 3 and not any(r.passed for r in reports)
+
+
 def test_thm41_passes():
     for n in range(2, 7):
         for l in range(1, n):
@@ -249,6 +276,17 @@ def test_integrals_check_full_digits_with_certified_tail():
         assert r.passed and r.params["digits"] == 120
         assert mpf(r.witness["tail_bound"]) < mpf(10) ** -119
         assert mpf(r.witness["abs_diff"]) < mpf(10) ** -116
+
+
+@pytest.mark.parametrize(
+    "claim_id, margin", [("lemma23", 5), ("lemma42", 5), ("thm31", 10), ("thm41", 0), ("integrals", 3)]
+)
+def test_oracle_claims_check_all_digits_but_their_margin(claim_id, margin):
+    # No claim has an upper cap on the digits it checks.
+    assert CLAIMS[claim_id].agree(200) == 200 - margin
+    reports = run_suite([claim_id], max_n=12, digits=200)
+    assert reports and all(r.passed for r in reports)
+    assert all(r.params.get("agree", r.params["digits"]) >= 200 - margin for r in reports)
 
 
 @pytest.mark.parametrize("check, args, series", [

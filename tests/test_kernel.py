@@ -9,6 +9,7 @@ from cfx.kernel import (
     ComplexParam,
     DomainError,
     ParameterError,
+    agrees,
     arg_in_cut_plane,
     factorial,
     pochhammer,
@@ -80,10 +81,35 @@ def test_arg_in_cut_plane():
         arg_in_cut_plane(ComplexParam(Fraction(0)))
 
 
-def test_arg_in_cut_plane_mpc_near_axis():
-    with mp.workdps(40):
-        assert arg_in_cut_plane(mpc(-1, mpf(10) ** -30)) is False
-        assert arg_in_cut_plane(mpc(-1, mpf(10) ** -5)) is True
+def test_arg_in_cut_plane_near_axis():
+    assert arg_in_cut_plane(ComplexParam(Fraction(-1), Fraction(1, 10**30))) is False
+    assert arg_in_cut_plane(ComplexParam(Fraction(-1), Fraction(1, 10**5))) is True
+
+
+def test_agrees_compares_fractions_exactly():
+    a = Fraction(1, 3)
+    b = a + Fraction(1, 10**41)
+    assert agrees(a, b, 40)
+    assert agrees(a, b, 41)  # |a - b| = 10^-41 max(1, |a|) exactly
+    assert not agrees(a, b, 42)
+    assert agrees(3, 3, 1000) and not agrees(Fraction(10**50 + 1), 10**50, 51)
+
+
+def test_agrees_rounds_a_fraction_to_the_digits_it_decides():
+    # At the default 15 digits a Fraction would round to about 16 digits.
+    with mp.workdps(60):
+        third = mpf(1) / 3
+    assert agrees(Fraction(1, 3), third, 55)
+    assert not agrees(Fraction(1, 3), mpf(1) / 3, 20)
+
+
+def test_agrees_on_1000_digit_mpc_at_default_precision():
+    with mp.workdps(1000):
+        a = mpc(mp.pi, mp.e)
+        b = a * (1 + mpf(10) ** -990)
+    assert mp.dps == 15
+    assert agrees(a, b, 985)
+    assert not agrees(a, b, 995)
 
 
 def test_complex_param_parsing():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from cfx.kernel import ComplexParam, ParameterError, factorial, to_mp
+from cfx.kernel import ComplexParam, ParameterError, PrecisionError, factorial, to_mp
 from cfx.oracle import (
     beta_exp_integral,
     exp_rational_integral,
@@ -245,3 +245,9 @@ def test_guard_widens_until_it_covers_the_cancellation():
     value = exp_series(ComplexParam(Fraction(0), Fraction(400)), 5).value
     with mp.workdps(200):
         _assert_relative(value, mp.exp(400j), 5)
+
+
+def test_divergent_series_exhausts_its_term_budget():
+    # sum k! z^k: no term ratio ever falls below 1/2, so the budget ends it.
+    with pytest.raises(PrecisionError, match="series failed to converge"):
+        hyp_sum((1, 1), (1,), 1, 10)
