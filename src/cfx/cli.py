@@ -172,6 +172,9 @@ def cmd_compare(args) -> tuple[dict, int]:
     ids = [s.strip() for s in args.expansions.split(",") if s.strip()]
     if not ids:
         raise ParameterError("--expansions must list at least one family")
+    repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
+    if repeated:
+        raise ParameterError(f"repeated expansion ids: {repeated}")
     params, specs = _spec_params(args, ids)
     labels = sorted({families.FAMILIES[fid].label(params) for fid in ids})
     if len(labels) > 1:

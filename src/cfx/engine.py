@@ -7,13 +7,17 @@ Convergents come from the Euler-Wallis recurrence
 with P_{-1} = 1, Q_{-1} = 0, P_0 = b0, Q_0 = 1.  An :class:`ExpansionSpec`
 maps w = P_k/Q_k through a Moebius matrix, so the convergent at depth k is the
 value of the whole expansion truncated after the k-th partial fraction.  All
-families run in one exact ring: ints, Fractions and Gaussian rationals
-(:class:`~cfx.kernel.ComplexParam`).  Raw P_k, Q_k are kept unreduced: closed
-forms for denominators refer to the raw recurrence output, while reduced
-values match printed convergent tables.  :func:`estimate_limit` reduces only
-at return, using the determinant identity P_k Q_{k-1} - P_{k-1} Q_k =
-(-1)^{k-1} a_1...a_k (Lorentzen & Waadeland, *Continued Fractions with
-Applications*, 1992).
+families take coefficients in one exact ring: ints, Fractions and Gaussian
+rationals (:class:`~cfx.kernel.ComplexParam`).  The one recurrence loop,
+:func:`_raw_convergents`, clears their denominators with an equivalence
+transformation (Lorentzen & Waadeland, *Continued Fractions with
+Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
+and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.
+:func:`iter_convergents` divides the scale back out, so tables show the raw
+P_k, Q_k of the fraction as given: closed forms for denominators refer to
+them, while reduced values match printed convergent tables.
+:func:`estimate_limit` reduces only at return, and its stopping test uses the
+determinant identity P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .kernel import (
     ParameterError,
     Scalar,
     SingularError,
+    gaussian,
 )
 
 DEFAULT_DEPTH_CAP = 10**6
@@ -83,7 +88,8 @@ class ExpansionSpec:
 
 @dataclass(frozen=True)
 class ConvergentState:
-    """Euler-Wallis running state after k steps."""
+    """Euler-Wallis running state after k steps, for one-step use with
+    :func:`euler_wallis_step`; the engine's own loop steps on local variables."""
 
     p_prev: Scalar
     p_cur: Scalar
@@ -123,17 +129,48 @@ class Convergent:
     value: Optional[Scalar]
 
 
-def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple[int, Scalar, Scalar, Scalar]]:
-    """Yield (k, P_k, Q_k, a_k) for k = 0, 1, ..., with a_0 = 1.  A constant
-    spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step is zero."""
+def _cleared(x: Scalar) -> tuple[Scalar, int]:
+    """(d x, d) for the least d > 0 that makes d x an int, or a Gaussian
+    integer (a ComplexParam with int parts) when x is a ComplexParam."""
+    p, q, d = gaussian(x)
+    return (ComplexParam(p, q) if isinstance(x, ComplexParam) else p), d
+
+
+def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple[int, Scalar, Scalar, Scalar, int]]:
+    """Yield (k, s_k P_k, s_k Q_k, a'_k, s_k) for k = 0, 1, ...: the Euler-Wallis
+    recurrence of the equivalent fraction whose head and coefficients are ints
+    or Gaussian integers.
+
+    With r_m = lcm(den a_m, den b_m) and r_0 = 1 it steps on a'_m = r_m r_{m-1} a_m
+    and b'_m = r_m b_m.  The head's denominator s_0 starts the vectors at
+    (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0), so P'_k = s_k P_k and
+    Q'_k = s_k Q_k with the running scale s_k = s_0 r_1...r_k, and a'_0 = s_0^2
+    makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  For int coefficients every r_m
+    is 1.  A constant spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1:
+    every step is zero."""
+    head, s = _cleared(spec.head)
     if spec.constant:
-        yield from ((k, spec.head, 1, 0 if k else 1) for k in itertools.count())
-    state = ConvergentState.initial(spec.head)
-    a_k = 1
+        yield from ((k, head, s, 0 if k else s * s, s) for k in itertools.count())
+    rule = spec.rule
+    p_prev, p, q_prev, q = s, head, 0, s
+    a, r_prev, k = s * s, 1, 0
     while True:
-        yield state.k, state.p_cur, state.q_cur, a_k
-        a_k = spec.rule.a(state.k + 1)
-        state = euler_wallis_step(state, a_k, spec.rule.b(state.k + 1))
+        yield k, p, q, a, s
+        k += 1
+        a, b = rule.a(k), rule.b(k)
+        if a == 0:
+            raise ParameterError(f"partial numerator a_{k} is zero")
+        r = 1
+        if type(a) is not int or type(b) is not int:
+            (a, da), (b, db) = _cleared(a), _cleared(b)
+            r = math.lcm(da, db)
+            if r != 1:
+                a, b, s = a * (r // da), b * (r // db), s * r
+        if r_prev != 1:
+            a = a * r_prev
+        r_prev = r
+        p_prev, p = p, b * p + a * p_prev
+        q_prev, q = q, b * q + a * q_prev
 
 
 def _image(m: tuple, p: Scalar, q: Scalar) -> tuple[Scalar, Scalar]:
@@ -153,9 +190,11 @@ def _quotient(num: Scalar, den: Scalar) -> Scalar:
 
 def iter_convergents(spec: ExpansionSpec) -> Iterator[Convergent]:
     """Yield convergents 0, 1, 2, ... of ``spec`` indefinitely."""
-    for k, p, q, _ in _raw_convergents(spec):
+    for k, p, q, _, s in _raw_convergents(spec):
         num, den = _image(spec.mobius, p, q)
         value = None if q == 0 or den == 0 else _quotient(num, den)
+        if s != 1:  # the raw P_k, Q_k of the fraction as given
+            p, q = _quotient(p, s), _quotient(q, s)
         yield Convergent(k, p, q, value)
 
 
@@ -237,6 +276,10 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     at two consecutive depths.  With C_k = num_k/den_k and the determinant
     identity it reads |det M a_1...a_k| 10^d < |den_{k-1}| max(|den_k|, |num_k|),
     decided exactly on squared magnitudes (no square root for Gaussian values).
+    It runs on the cleared recurrence of :func:`_raw_convergents`, all ints or
+    Gaussian integers: both sides scale by (s_k s_{k-1})^2, so the depth is
+    that of the fraction as given, and no Fraction is formed before the one
+    reduction at return.
 
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.
@@ -247,7 +290,7 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     step2 = _norm2(alpha * delta - beta * gamma)  # |D_k|^2, once a_k is in
     den_prev = None  # den_{k-1}, or None after a singular convergent
     small_streak = 0
-    for k, p, q, a_k in _raw_convergents(spec):
+    for k, p, q, a_k, _ in _raw_convergents(spec):
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
         step2 *= _norm2(a_k)
@@ -276,10 +319,11 @@ def _norm2(x: Scalar) -> Scalar:
 
 
 def _log2(x: Scalar) -> float:
-    """e with 2^(e-1) < |x| < 2^(e+2), from bit lengths only; -inf for 0."""
+    """e with 2^(e-1) <= |x| < 2^(e+1) for an int or a Gaussian integer x, from
+    bit lengths only; -inf for 0."""
     if isinstance(x, ComplexParam):
         return max(_log2(x.re), _log2(x.im))
-    return x.numerator.bit_length() - x.denominator.bit_length() if x else -math.inf
+    return x.bit_length() if x else -math.inf
 
 
 def _less(step2: Scalar, tol: int, den_prev: Scalar, num: Scalar, den: Scalar) -> bool:

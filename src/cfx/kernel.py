@@ -1,7 +1,9 @@
 """Arbitrary-precision arithmetic substrate.
 
 The engine runs in one exact ring: Python ints, ``fractions.Fraction`` and
-the Gaussian rationals of :class:`ComplexParam`.  mpmath ``mpf``/``mpc``
+the Gaussian rationals of :class:`ComplexParam`.  Its recurrence clears the
+denominators (:func:`gaussian`) and steps on ints and Gaussian integers, a
+ComplexParam with ``int`` parts.  mpmath ``mpf``/``mpc``
 values appear only when an exact value is rounded (:func:`to_mp`, at the
 caller's ambient precision) for output, or by :func:`agrees` for comparison
 with an oracle.
@@ -74,10 +76,14 @@ _COMPLEX_RE = _re.compile(
 class ComplexParam:
     """Exact rectangular complex number, a Gaussian rational: ``+ - * /`` with
     a ComplexParam, int or Fraction stay exact, and with ``im == 0`` it equals
-    (and hashes like) its real part, so one engine serves real and complex z."""
+    (and hashes like) its real part, so one engine serves real and complex z.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    With ``int`` parts it is a Gaussian integer, the ring the engine steps in
+    (see :func:`gaussian`): ``+ - *`` keep the parts ``int`` and ``/`` returns
+    ``Fraction`` parts."""
+
+    re: Fraction | int
+    im: Fraction | int = Fraction(0)
 
     def __add__(self, other):
         if isinstance(other, ComplexParam):
@@ -109,10 +115,9 @@ class ComplexParam:
 
     def __truediv__(self, other):
         if isinstance(other, ComplexParam):
-            n = other.norm2()
-            return self * ComplexParam(other.re / n, -other.im / n)
+            return self * ComplexParam(other.re, -other.im) / other.norm2()
         if isinstance(other, (int, Fraction)):
-            return ComplexParam(self.re / other, self.im / other)
+            return ComplexParam(Fraction(self.re, other), Fraction(self.im, other))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -128,7 +133,7 @@ class ComplexParam:
     def __hash__(self) -> int:
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def norm2(self) -> Fraction:
+    def norm2(self) -> "int | Fraction":
         """|z|^2 = re^2 + im^2, exact."""
         return self.re * self.re + self.im * self.im
 
@@ -176,6 +181,15 @@ class ComplexParam:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def gaussian(x) -> tuple[int, int, int]:
+    """x = (p + iq)/d with integers p, q and d > 0, the least such d."""
+    if isinstance(x, int):
+        return x, 0, 1
+    x = ComplexParam.coerce(x)
+    d = math.lcm(x.re.denominator, x.im.denominator)
+    return x.re.numerator * d // x.re.denominator, x.im.numerator * d // x.im.denominator, d
 
 
 # With Re z < 0, a z whose |Im z| is at most 10^-_CUT_DIGITS counts as on the

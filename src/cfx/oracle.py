@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, log10, prod
+from math import ceil, log10, prod
 
 from mpmath import mp, mpc, mpf
 
@@ -34,6 +34,7 @@ from .kernel import (
     Scalar,
     arg_in_cut_plane,
     factorial,
+    gaussian,
     pochhammer,
 )
 
@@ -58,15 +59,6 @@ def _is_nonpositive_integer(x: ComplexParam) -> bool:
     return x.is_real and x.re <= 0 and x.re.denominator == 1
 
 
-def _gaussian(x) -> tuple[int, int, int]:
-    """x = (p + iq)/d with integers p, q and d > 0."""
-    if isinstance(x, int):
-        return x, 0, 1
-    x = ComplexParam.coerce(x)
-    d = lcm(x.re.denominator, x.im.denominator)
-    return x.re.numerator * d // x.re.denominator, x.im.numerator * d // x.im.denominator, d
-
-
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
@@ -77,7 +69,7 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     redone with the guard raised by the digits lost, until it covers them.  The
     ratio test cannot hold before k ~ 2|z|, so the term budget grows with |z|;
     a sum that outruns it raises PrecisionError."""
-    (zp, zq, zd), a, b = _gaussian(z), [_gaussian(x) for x in a], [_gaussian(x) for x in b]
+    (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
     budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd

@@ -323,6 +323,15 @@ def test_compare_value_must_match_label_exit_2(capsys):
     assert out == ""
 
 
+def test_compare_repeated_expansion_id_exit_2(capsys):
+    status, out, err = run_cli(
+        capsys, "compare", "--value", "e", "--expansions", "e-euler,e-euler", "--depth", "3"
+    )
+    assert status == 2
+    assert "repeated expansion ids: ['e-euler']" in err
+    assert out == ""
+
+
 def test_compare_value_e_squared_accepted(capsys):
     status, _, _ = run_cli(
         capsys,

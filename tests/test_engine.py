@@ -222,27 +222,37 @@ def test_depth_cap_env_must_be_positive_integer(monkeypatch, value):
         depth_cap()
 
 
+def _norm2(x):
+    return x.norm2() if isinstance(x, ComplexParam) else x * x
+
+
+def _quotient(p, q):
+    return p / q if isinstance(p, ComplexParam) or isinstance(q, ComplexParam) else Fraction(p, q)
+
+
 def _reference_limit(spec, digits):
-    """The earlier limit loop: reduce every convergent to a Fraction, then stop
-    after two consecutive steps below 10^-digits * max(1, |C_k|)."""
+    """The earlier limit loop: reduce every convergent to the exact quotient
+    p/q (a Fraction, or a Gaussian rational for complex z), then stop after two
+    consecutive steps with |C_k - C_{k-1}| < 10^-digits * max(1, |C_k|),
+    compared squared.  A non-real limit is rounded as estimate_limit rounds it."""
     alpha, beta, gamma, delta = spec.mobius
-    threshold = Fraction(1, 10**digits)
+    threshold2 = Fraction(1, 100**digits)
     p_prev, p, q_prev, q = 1, spec.head, 0, 1
     prev, streak, k = None, 0, 0
     while True:
         value = None
         if q != 0:
-            w = Fraction(p, q)
+            w = _quotient(p, q)
             if gamma * w + delta != 0:
-                value = (alpha * w + beta) / (gamma * w + delta)
+                value = _quotient(alpha * w + beta, gamma * w + delta)
         if value is None:
             prev, streak = None, 0
         else:
             if prev is not None:
-                if abs(value - prev) < threshold * max(1, abs(value)):
+                if _norm2(value - prev) < threshold2 * max(1, _norm2(value)):
                     streak += 1
                     if streak == 2:
-                        return value, k
+                        break
                 else:
                     streak = 0
             prev = value
@@ -250,6 +260,10 @@ def _reference_limit(spec, digits):
         a, b = spec.rule.a(k), spec.rule.b(k)
         p_prev, p = p, b * p + a * p_prev
         q_prev, q = q, b * q + a * q_prev
+    if not isinstance(value, ComplexParam):
+        return value, k
+    with mp.workdps(digits + max(10, digits // 4)):
+        return value.to_mp(), k
 
 
 EXACT_FAMILIES = [
@@ -273,13 +287,48 @@ EXACT_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("digits", [10, 100, 1000])
-@pytest.mark.parametrize("family,params", EXACT_FAMILIES)
+# inc-gamma with a non-integral head and with an odd denominator, a general
+# M-fraction, and the diagonal M-fraction, whose Q_1 is singular (b = z).
+COMPLEX_FAMILIES = [
+    ("inc-gamma", {"z": ComplexParam(Fraction(-5, 2), Fraction(3, 4))}),
+    ("inc-gamma", {"z": ComplexParam(Fraction(1, 3), Fraction(2))}),
+    ("m-fraction", {"b": ComplexParam(Fraction(3, 4), Fraction(-2)),
+                    "z": ComplexParam(Fraction(-5, 4), Fraction(1, 2))}),
+    ("m-fraction-diagonal", {"z": ComplexParam(Fraction(-2), Fraction(1, 2))}),
+]
+
+REFERENCE_CASES = [
+    pytest.param(family, params, digits, id=f"{family}-params{i}-{digits}")
+    for i, (family, params) in enumerate(EXACT_FAMILIES + COMPLEX_FAMILIES)
+    for digits in ((10, 100, 1000) if i < len(EXACT_FAMILIES) else (10, 100, 300))
+]
+
+
+@pytest.mark.parametrize("family,params,digits", REFERENCE_CASES)
 def test_estimate_limit_matches_reference_loop(family, params, digits):
     spec = make_family(family, **params)
     value, depth = estimate_limit(spec, digits)
-    assert type(value) is Fraction
+    assert type(value) is (Fraction if all(ComplexParam.coerce(x).is_real
+                                           for x in params.values()) else mpc)
     assert (value, depth) == _reference_limit(spec, digits)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_inc_gamma(ComplexParam(Fraction(1, 2), Fraction(1, 4))),
+     make_m_fraction(Fraction(3, 4), Fraction(5, 2))],
+)
+def test_convergents_raw_table_matches_unscaled_recurrence(spec):
+    # The engine steps on cleared coefficients; the table must still show the
+    # raw P_k, Q_k of the coefficients as given.
+    state = ConvergentState.initial(spec.head)
+    for conv in convergents(spec, 40):
+        if conv.k:
+            state = euler_wallis_step(state, spec.rule.a(conv.k), spec.rule.b(conv.k))
+        assert (conv.k, conv.p_raw, conv.q_raw) == (state.k, state.p_cur, state.q_cur)
+        for x in (conv.p_raw, conv.q_raw):
+            if isinstance(x, ComplexParam):
+                assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
 @pytest.mark.parametrize("singular_at", [3, 15, 16])

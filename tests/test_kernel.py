@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cfx.kernel import (
     agrees,
     arg_in_cut_plane,
     factorial,
+    gaussian,
     pochhammer,
 )
 
@@ -169,3 +171,23 @@ def test_complex_param_real_equality_and_hash(r):
     w = ComplexParam(r, Fraction(1, 3))
     assert w != r and w.value is w
     assert len({w, ComplexParam(r, Fraction(2, 6))}) == 1
+
+
+def test_complex_param_division_with_int_parts_is_exact():
+    q = ComplexParam(1, 2) / ComplexParam(3, 4)
+    assert q == ComplexParam(Fraction(11, 25), Fraction(2, 25))
+    assert type(q.re) is Fraction and type(q.im) is Fraction
+    q = ComplexParam(3, 4) / 5
+    assert q == ComplexParam(Fraction(3, 5), Fraction(4, 5))
+    assert type(q.re) is Fraction and type(q.im) is Fraction
+    assert str(7 / ComplexParam(1, 1)) == "7/2-7/2i"
+
+
+@given(a=_gaussian)
+@settings(max_examples=100, deadline=None)
+def test_gaussian_clears_the_least_denominator(a):
+    p, q, d = gaussian(a)
+    assert d > 0 and ComplexParam(p, q) / d == a
+    assert math.gcd(p, q, d) == 1  # else d / gcd would also clear a
+    assert gaussian(a.re) == gaussian(ComplexParam(a.re))
+    assert gaussian(-7) == (-7, 0, 1)
