@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from . import engine, families, identities
 from .kernel import CFXError, ComplexParam, DomainError, NonConvergenceError, ParameterError, agrees, to_mp
@@ -38,10 +38,15 @@ DEFAULT_DEPTH = 50
 
 
 def decimal_str(v, digits: int) -> str:
-    """Decimal string with exactly ``digits`` significant digits."""
+    """Decimal string with exactly ``digits`` significant digits; a non-real
+    value as ``(re + imj)``, with ``digits`` in each part."""
     with mp.workdps(digits + 10):
         x = to_mp(v)
-        return mp.nstr(x, digits, strip_zeros=False)
+        if not isinstance(x, mpc):
+            return mp.nstr(x, digits, strip_zeros=False)
+        # mpmath's nstr of an mpc strips the zeros of the real part.
+        re, im = (mp.nstr(part, digits, strip_zeros=False) for part in (x.real, abs(x.imag)))
+        return f"({re} {'-' if x.imag < 0 else '+'} {im}j)"
 
 
 def _spec_params(args, family_ids: list[str]) -> tuple[dict, list]:
@@ -129,6 +134,8 @@ def cmd_eval(args) -> tuple[dict, int]:
 def cmd_diff_table(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ParameterError("diff-table requires --n >= 1")
+    if args.depth < 1:
+        raise ParameterError("diff-table requires --depth >= 1")
     spec = families.make_exp_n(args.n)
     convs = engine.convergents(spec, args.depth)
     rows = []

@@ -12,12 +12,15 @@ rationals (:class:`~cfx.kernel.ComplexParam`).  The one recurrence loop,
 :func:`_raw_convergents`, clears their denominators with an equivalence
 transformation (Lorentzen & Waadeland, *Continued Fractions with
 Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
-and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.
-:func:`iter_convergents` divides the scale back out, so tables show the raw
-P_k, Q_k of the fraction as given: closed forms for denominators refer to
-them, while reduced values match printed convergent tables.
-:func:`estimate_limit` reduces only at return, and its stopping test uses the
-determinant identity P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k.
+and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
+Gaussian integer is a (re, im) pair of ints in local variables; while every
+imaginary part is zero, the step is the real one on ints alone.
+:func:`iter_convergents` divides the scale back out and forms the Fractions
+and ComplexParams, so tables show the raw P_k, Q_k of the fraction as given:
+closed forms for denominators refer to them, while reduced values match
+printed convergent tables.  :func:`estimate_limit` works on the pairs and
+reduces only at return, and its stopping test uses the determinant identity
+P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k.
 """
 
 from __future__ import annotations
@@ -129,73 +132,98 @@ class Convergent:
     value: Optional[Scalar]
 
 
-def _cleared(x: Scalar) -> tuple[Scalar, int]:
-    """(d x, d) for the least d > 0 that makes d x an int, or a Gaussian
-    integer (a ComplexParam with int parts) when x is a ComplexParam."""
-    p, q, d = gaussian(x)
-    return (ComplexParam(p, q) if isinstance(x, ComplexParam) else p), d
-
-
-def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple[int, Scalar, Scalar, Scalar, int]]:
-    """Yield (k, s_k P_k, s_k Q_k, a'_k, s_k) for k = 0, 1, ...: the Euler-Wallis
-    recurrence of the equivalent fraction whose head and coefficients are ints
-    or Gaussian integers.
+def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
+    """Yield (k, Re P'_k, Im P'_k, Re Q'_k, Im Q'_k, |a'_k|^2, s_k, complex_k)
+    for k = 0, 1, ...: the Euler-Wallis recurrence of the equivalent fraction
+    whose head and coefficients are ints or Gaussian integers, stepped on
+    (re, im) int pairs.
 
     With r_m = lcm(den a_m, den b_m) and r_0 = 1 it steps on a'_m = r_m r_{m-1} a_m
-    and b'_m = r_m b_m.  The head's denominator s_0 starts the vectors at
+    and b'_m = r_m b_m, each taken as x = (re + i im)/d from :func:`gaussian`.
+    The head's denominator s_0 starts the vectors at
     (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0), so P'_k = s_k P_k and
     Q'_k = s_k Q_k with the running scale s_k = s_0 r_1...r_k, and a'_0 = s_0^2
     makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  For int coefficients every r_m
-    is 1.  A constant spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1:
-    every step is zero."""
-    head, s = _cleared(spec.head)
+    is 1.  Until an imaginary part turns up, the step is the real one on ints
+    alone.  ``complex_k`` is true once the head or a coefficient up to a_k,
+    b_k is a ComplexParam: the raw values and convergents at k are
+    ComplexParams then, as arithmetic in that type would give them.  A
+    constant spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step
+    is zero."""
+    pr, pi, s = gaussian(spec.head)
+    cplx = isinstance(spec.head, ComplexParam)
     if spec.constant:
-        yield from ((k, head, s, 0 if k else s * s, s) for k in itertools.count())
+        yield from ((k, pr, pi, s, 0, 0 if k else s**4, s, cplx) for k in itertools.count())
     rule = spec.rule
-    p_prev, p, q_prev, q = s, head, 0, s
-    a, r_prev, k = s * s, 1, 0
+    real = not pi
+    ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
+    a2, r_prev, k = s**4, 1, 0
     while True:
-        yield k, p, q, a, s
+        yield k, pr, pi, qr, qi, a2, s, cplx
         k += 1
         a, b = rule.a(k), rule.b(k)
-        if a == 0:
-            raise ParameterError(f"partial numerator a_{k} is zero")
-        r = 1
-        if type(a) is not int or type(b) is not int:
-            (a, da), (b, db) = _cleared(a), _cleared(b)
+        if type(a) is int and type(b) is int:
+            ar, ai, br, bi, r = a, 0, b, 0, 1
+        else:
+            cplx = cplx or isinstance(a, ComplexParam) or isinstance(b, ComplexParam)
+            (ar, ai, da), (br, bi, db) = gaussian(a), gaussian(b)
             r = math.lcm(da, db)
             if r != 1:
-                a, b, s = a * (r // da), b * (r // db), s * r
+                ra, rb, s = r // da, r // db, s * r
+                ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
+        if not ar and not ai:
+            raise ParameterError(f"partial numerator a_{k} is zero")
         if r_prev != 1:
-            a = a * r_prev
+            ar, ai = ar * r_prev, ai * r_prev
         r_prev = r
-        p_prev, p = p, b * p + a * p_prev
-        q_prev, q = q, b * q + a * q_prev
+        if real and not ai and not bi:
+            ppr, pr = pr, br * pr + ar * ppr
+            qpr, qr = qr, br * qr + ar * qpr
+            a2 = ar * ar
+            continue
+        real = False
+        pr, pi, ppr, ppi = (br * pr - bi * pi + ar * ppr - ai * ppi,
+                            br * pi + bi * pr + ar * ppi + ai * ppr, pr, pi)
+        qr, qi, qpr, qpi = (br * qr - bi * qi + ar * qpr - ai * qpi,
+                            br * qi + bi * qr + ar * qpi + ai * qpr, qr, qi)
+        a2 = ar * ar + ai * ai
 
 
-def _image(m: tuple, p: Scalar, q: Scalar) -> tuple[Scalar, Scalar]:
-    """Numerator and denominator of M(p/q), without dividing."""
+def _image(m: tuple, pr: int, pi: int, qr: int, qi: int) -> tuple[int, int, int, int]:
+    """Numerator and denominator of M(p/q), without dividing, as (re, im) pairs."""
     if m == IDENTITY:
-        return p, q
+        return pr, pi, qr, qi
     alpha, beta, gamma, delta = m
-    return alpha * p + beta * q, gamma * p + delta * q
+    return (alpha * pr + beta * qr, alpha * pi + beta * qi,
+            gamma * pr + delta * qr, gamma * pi + delta * qi)
 
 
-def _quotient(num: Scalar, den: Scalar) -> Scalar:
-    """Exact num/den: a reduced Fraction, or a ComplexParam off the real line."""
-    if isinstance(num, ComplexParam) or isinstance(den, ComplexParam):
-        return num / den
-    return Fraction(num, den)
+def _quotient(nr: int, ni: int, dr: int, di: int, cplx: bool) -> Scalar:
+    """Exact (nr + i ni)/(dr + i di): a reduced Fraction, or a ComplexParam
+    with Fraction parts when ``cplx``."""
+    if not cplx:
+        return Fraction(nr, dr)
+    n2 = dr * dr + di * di
+    return ComplexParam(Fraction(nr * dr + ni * di, n2), Fraction(ni * dr - nr * di, n2))
+
+
+def _unscaled(re: int, im: int, s: int, cplx: bool) -> Scalar:
+    """(re + i im)/s: the raw P_k or Q_k of the fraction as given, from its
+    cleared value and the running scale s."""
+    if not cplx:
+        return re if s == 1 else Fraction(re, s)
+    if s == 1:
+        return ComplexParam(re, im)
+    return ComplexParam(Fraction(re, s), Fraction(im, s))
 
 
 def iter_convergents(spec: ExpansionSpec) -> Iterator[Convergent]:
     """Yield convergents 0, 1, 2, ... of ``spec`` indefinitely."""
-    for k, p, q, _, s in _raw_convergents(spec):
-        num, den = _image(spec.mobius, p, q)
-        value = None if q == 0 or den == 0 else _quotient(num, den)
-        if s != 1:  # the raw P_k, Q_k of the fraction as given
-            p, q = _quotient(p, s), _quotient(q, s)
-        yield Convergent(k, p, q, value)
+    for k, pr, pi, qr, qi, _, s, cplx in _raw_convergents(spec):
+        nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
+        singular = not (qr or qi) or not (dr or di)
+        value = None if singular else _quotient(nr, ni, dr, di, cplx)
+        yield Convergent(k, _unscaled(pr, pi, s, cplx), _unscaled(qr, qi, s, cplx), value)
 
 
 def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
@@ -276,10 +304,10 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     at two consecutive depths.  With C_k = num_k/den_k and the determinant
     identity it reads |det M a_1...a_k| 10^d < |den_{k-1}| max(|den_k|, |num_k|),
     decided exactly on squared magnitudes (no square root for Gaussian values).
-    It runs on the cleared recurrence of :func:`_raw_convergents`, all ints or
-    Gaussian integers: both sides scale by (s_k s_{k-1})^2, so the depth is
-    that of the fraction as given, and no Fraction is formed before the one
-    reduction at return.
+    It runs on the cleared recurrence of :func:`_raw_convergents`, on ints or
+    Gaussian integers held as (re, im) int pairs: both sides scale by
+    (s_k s_{k-1})^2, so the depth is that of the fraction as given, and no
+    Fraction or ComplexParam is formed before the one reduction at return.
 
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.
@@ -287,50 +315,42 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     cap = depth_cap()
     tol = 100**target_digits  # 10^d, squared
     alpha, beta, gamma, delta = spec.mobius
-    step2 = _norm2(alpha * delta - beta * gamma)  # |D_k|^2, once a_k is in
-    den_prev = None  # den_{k-1}, or None after a singular convergent
+    step2 = (alpha * delta - beta * gamma) ** 2  # |D_k|^2, once a_k is in
+    den_prev = None  # den_{k-1} as (re, im), or None after a singular convergent
     small_streak = 0
-    for k, p, q, a_k, _ in _raw_convergents(spec):
+    for k, pr, pi, qr, qi, a2, _, cplx in _raw_convergents(spec):
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
-        step2 *= _norm2(a_k)
-        num, den = _image(spec.mobius, p, q)
-        if q == 0 or den == 0:
+        step2 *= a2
+        nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
+        if not (qr or qi) or not (dr or di):
             den_prev = None
             small_streak = 0
             continue
         if den_prev is not None:
-            if _less(step2, tol, den_prev, num, den):
+            if _less(step2, tol, den_prev, nr, ni, dr, di):
                 small_streak += 1
                 if small_streak >= 2:
                     break
             else:
                 small_streak = 0
-        den_prev = den
-    value = _quotient(num, den)
-    if not isinstance(value, ComplexParam):
+        den_prev = dr, di
+    value = _quotient(nr, ni, dr, di, cplx)
+    if not cplx:
         return value, k
     with mp.workdps(target_digits + max(10, target_digits // 4)):
         return value.to_mp(), k
 
 
-def _norm2(x: Scalar) -> Scalar:
-    return x.norm2() if isinstance(x, ComplexParam) else x * x
-
-
-def _log2(x: Scalar) -> float:
-    """e with 2^(e-1) <= |x| < 2^(e+1) for an int or a Gaussian integer x, from
-    bit lengths only; -inf for 0."""
-    if isinstance(x, ComplexParam):
-        return max(_log2(x.re), _log2(x.im))
-    return x.bit_length() if x else -math.inf
-
-
-def _less(step2: Scalar, tol: int, den_prev: Scalar, num: Scalar, den: Scalar) -> bool:
-    """step2 * tol < |den_prev|^2 max(|num|^2, |den|^2), exactly: bit lengths
-    decide unless the two sides are within a few bits of each other."""
-    lhs = _log2(step2) + _log2(tol)
-    rhs = 2 * (_log2(den_prev) + max(_log2(num), _log2(den)))
+def _less(step2: int, tol: int, den_prev: tuple, nr: int, ni: int, dr: int, di: int) -> bool:
+    """step2 * tol < |den_prev|^2 max(|num|^2, |den|^2), exactly, for Gaussian
+    integers as (re, im) pairs, den_prev and den nonzero: bit lengths decide
+    unless the two sides are within a few bits of each other.  With e the
+    larger bit length of its parts, 2^(e-1) <= |x| < 2^(e+1)."""
+    dpr, dpi = den_prev
+    lhs = (step2.bit_length() if step2 else -math.inf) + tol.bit_length()
+    rhs = 2 * (max(dpr.bit_length(), dpi.bit_length())
+               + max(nr.bit_length(), ni.bit_length(), dr.bit_length(), di.bit_length()))
     if abs(lhs - rhs) >= 10:
         return lhs < rhs
-    return step2 * tol < _norm2(den_prev) * max(_norm2(num), _norm2(den))
+    return step2 * tol < (dpr * dpr + dpi * dpi) * max(nr * nr + ni * ni, dr * dr + di * di)

@@ -4,9 +4,12 @@ converges to and an independent oracle for that constant.
 
 Every family runs in one exact ring, so identity checks against them are
 exact equalities.  A free complex parameter is stored exactly (as
-:class:`ComplexParam`) and its ``value`` (a Fraction when real, else the
-Gaussian rational itself) enters the coefficient rules directly.  Finishers
-are Moebius matrices (:func:`~cfx.engine.mobius`).
+:class:`ComplexParam`).  The coefficient rules of the complex-parameter
+families take it once, at build time, in the integer form (p + iq)/d of
+:func:`~cfx.kernel.gaussian`: each coefficient's numerators are computed in
+ints and reduced once, to a Fraction when every parameter is real, else to a
+ComplexParam with one Fraction per part.  Finishers are Moebius matrices
+(:func:`~cfx.engine.mobius`).
 
 The rational-exponent family deserves a note.  The printed closed form for
 e^{l/n} scales the inner fraction K by n inside the bracket denominator, but
@@ -24,13 +27,21 @@ confirms it against the series oracle for every admissible (l, n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
 from .engine import CoefficientRule, ExpansionSpec, convergents, mobius
-from .kernel import ComplexParam, DomainError, ParameterError, arg_in_cut_plane, factorial
+from .kernel import (
+    ComplexParam,
+    DomainError,
+    ParameterError,
+    arg_in_cut_plane,
+    factorial,
+    gaussian,
+)
 
 def make_e_euler() -> ExpansionSpec:
     """e = 3 - 1/4 - 2/5 - 3/6 - ..."""
@@ -74,13 +85,33 @@ def shifted_tail(n: int):
     return lambda j: Fraction(-(j + n + 1) * (j + 2), j + 1)
 
 
+def _rational(re: int, im: int, d: int, cplx: bool):
+    """(re + i im)/d in lowest terms, one Fraction per part: a ComplexParam
+    when ``cplx``, else (im is 0) a Fraction."""
+    return ComplexParam(Fraction(re, d), Fraction(im, d)) if cplx else Fraction(re, d)
+
+
 def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
-    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1))."""
-    zv = z.value
+    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1)).
+
+    With z = (p + iq)/d and u = (m-1)d + p, the rules are computed in ints:
+    a_m = (q^2 - pu - iq(u+p))/d^2 and b_m = ((m+1)d + 2p + 2iq)/d."""
+    p, q, d = gaussian(z)
+    cplx, d2, q2 = not z.is_real, d * d, q * q
+    b_im = Fraction(2 * q, d)
+
+    def a(m: int):
+        u = (m - 1) * d + p
+        return _rational(q2 - p * u, -q * (u + p), d2, cplx)
+
+    def b(m: int):
+        re = Fraction((m + 1) * d + 2 * p, d)
+        return ComplexParam(re, b_im) if cplx else re
+
     return ExpansionSpec(
         name=name,
-        head=1 + zv,
-        rule=CoefficientRule(a=lambda m: -zv * (m + zv - 1), b=lambda m: m + 2 * zv + 1),
+        head=_rational(d + p, q, d, cplx),
+        rule=CoefficientRule(a=a, b=b),
         params={"z": z},
     )
 
@@ -119,13 +150,20 @@ def make_m_fraction(b, z) -> ExpansionSpec:
             name=f"m-fraction(b={b},z=0)", head=1, rule=None, constant=True,
             params={"b": b, "z": z},
         )
-    bv, zv = b.value, z.value
+    # With b = (pb + i qb)/db and z = (p + iq)/d over D = lcm(db, d):
+    # a_m = (m-1)(p + iq)/d for m >= 2, and b_m = (c + (m-1)D + ie)/D.
+    (pb, qb, db), (p, q, d) = gaussian(b), gaussian(z)
+    cplx_z, cplx = not z.is_real, not (b.is_real and z.is_real)
+    D = math.lcm(db, d)
+    c, e = pb * (D // db) - p * (D // d), qb * (D // db) - q * (D // d)
+    a1, b_im = b.value, Fraction(e, D)
 
     def a(m: int):
-        return bv if m == 1 else (m - 1) * zv
+        return a1 if m == 1 else _rational((m - 1) * p, (m - 1) * q, d, cplx_z)
 
     def bb(m: int):
-        return bv - zv if m == 1 else bv + (m - 1) - zv
+        re = Fraction(c + (m - 1) * D, D)
+        return ComplexParam(re, b_im) if cplx else re
 
     return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
                          rule=CoefficientRule(a=a, b=bb), params={"b": b, "z": z})

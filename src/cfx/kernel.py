@@ -2,8 +2,8 @@
 
 The engine runs in one exact ring: Python ints, ``fractions.Fraction`` and
 the Gaussian rationals of :class:`ComplexParam`.  Its recurrence clears the
-denominators (:func:`gaussian`) and steps on ints and Gaussian integers, a
-ComplexParam with ``int`` parts.  mpmath ``mpf``/``mpc``
+denominators (:func:`gaussian`) and steps on ints and Gaussian integers, held
+as (re, im) pairs of ints.  mpmath ``mpf``/``mpc``
 values appear only when an exact value is rounded (:func:`to_mp`, at the
 caller's ambient precision) for output, or by :func:`agrees` for comparison
 with an oracle.
@@ -78,9 +78,8 @@ class ComplexParam:
     a ComplexParam, int or Fraction stay exact, and with ``im == 0`` it equals
     (and hashes like) its real part, so one engine serves real and complex z.
 
-    With ``int`` parts it is a Gaussian integer, the ring the engine steps in
-    (see :func:`gaussian`): ``+ - *`` keep the parts ``int`` and ``/`` returns
-    ``Fraction`` parts."""
+    With ``int`` parts it is a Gaussian integer (see :func:`gaussian`):
+    ``+ - *`` keep the parts ``int`` and ``/`` returns ``Fraction`` parts."""
 
     re: Fraction | int
     im: Fraction | int = Fraction(0)
@@ -187,9 +186,13 @@ def gaussian(x) -> tuple[int, int, int]:
     """x = (p + iq)/d with integers p, q and d > 0, the least such d."""
     if isinstance(x, int):
         return x, 0, 1
-    x = ComplexParam.coerce(x)
-    d = math.lcm(x.re.denominator, x.im.denominator)
-    return x.re.numerator * d // x.re.denominator, x.im.numerator * d // x.im.denominator, d
+    if not isinstance(x, ComplexParam):
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
+        x = ComplexParam.coerce(x)
+    (p, dp), (q, dq) = x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    d = math.lcm(dp, dq)
+    return p * (d // dp), q * (d // dq), d
 
 
 # With Re z < 0, a z whose |Im z| is at most 10^-_CUT_DIGITS counts as on the

@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -142,6 +146,13 @@ def test_diff_table_n1(capsys):
     assert all(r["match"] == "True" for r in rows)
 
 
+def test_diff_table_depth_0_exit_2(capsys):
+    status, out, err = run_cli(capsys, "diff-table", "--n", "2", "--depth", "0")
+    assert status == 2
+    assert "diff-table requires --depth >= 1" in err
+    assert out == ""
+
+
 def test_verify_subset_exit_0(capsys):
     status, out, _ = run_cli(
         capsys, "verify", "--suite", "diff", "--max-n", "3", "--depth", "10"
@@ -258,6 +269,36 @@ def test_nonpositive_digits_exit_2(capsys, command, digits):
     assert status == 2
     assert "--digits" in err
     assert out == ""
+
+
+def test_convergents_complex_decimal_keeps_digits_in_both_parts(capsys):
+    status, out, _ = run_cli(
+        capsys,
+        "convergents", "--expansion", "inc-gamma", "--z", "1+2i", "--depth", "1",
+        "--format", "csv",
+    )
+    assert status == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    zeros = "0" * 29  # the default 30 significant digits, after the leading one
+    assert rows[0]["decimal"] == f"(2.{zeros} + 2.{zeros}j)"
+    assert rows[1]["decimal"] == f"(1.875{zeros[3:]} + 1.125{zeros[3:]}j)"
+    _, out, _ = run_cli(
+        capsys,
+        "convergents", "--expansion", "inc-gamma", "--z", "1-2i", "--depth", "0",
+        "--digits", "5", "--format", "csv",
+    )
+    assert next(csv.DictReader(io.StringIO(out)))["decimal"] == "(2.0000 - 2.0000j)"
+
+
+def test_python_m_cfx_matches_in_process_main(capsys):
+    argv = ["eval", "--expansion", "e-euler", "--digits", "10"]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cfx", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    _, out, _ = run_cli(capsys, *argv)
+    assert done.stdout == out
 
 
 def test_convergents_complex_parameter_exact(capsys):

@@ -301,6 +301,18 @@ REFERENCE_CASES = [
     pytest.param(family, params, digits, id=f"{family}-params{i}-{digits}")
     for i, (family, params) in enumerate(EXACT_FAMILIES + COMPLEX_FAMILIES)
     for digits in ((10, 100, 1000) if i < len(EXACT_FAMILIES) else (10, 100, 300))
+] + [
+    # Named ids, so that the ids above stay as they are: inc-gamma at a real
+    # z with an odd denominator, and M-fractions with one of b, z real.
+    pytest.param(family, params, digits, id=f"{name}-{digits}")
+    for name, family, params, all_digits in (
+        ("inc-gamma-real-z", "inc-gamma", {"z": Fraction(7, 3)}, (10, 100, 1000)),
+        ("m-fraction-real-b", "m-fraction",
+         {"b": Fraction(5, 3), "z": ComplexParam(Fraction(-3, 4), Fraction(5, 2))}, (10, 100, 300)),
+        ("m-fraction-real-z", "m-fraction",
+         {"b": ComplexParam(Fraction(1, 2), Fraction(-3, 2)), "z": Fraction(9, 4)}, (10, 100, 300)),
+    )
+    for digits in all_digits
 ]
 
 
@@ -316,7 +328,12 @@ def test_estimate_limit_matches_reference_loop(family, params, digits):
 @pytest.mark.parametrize(
     "spec",
     [make_inc_gamma(ComplexParam(Fraction(1, 2), Fraction(1, 4))),
-     make_m_fraction(Fraction(3, 4), Fraction(5, 2))],
+     make_m_fraction(Fraction(3, 4), Fraction(5, 2)),
+     # real head and z, complex b: the loop turns complex at its first step
+     make_m_fraction(ComplexParam(Fraction(1, 2), Fraction(-3, 2)), Fraction(9, 4)),
+     # complex at the first step only: later real steps keep the imaginary parts
+     ExpansionSpec(name="complex-then-real", head=Fraction(1, 2), rule=CoefficientRule(
+         a=lambda m: ComplexParam(1, 1) if m == 1 else 1, b=lambda m: Fraction(m, 3)))],
 )
 def test_convergents_raw_table_matches_unscaled_recurrence(spec):
     # The engine steps on cleared coefficients; the table must still show the
@@ -345,6 +362,18 @@ def test_estimate_limit_singular_step_resets_streak(singular_at):
     )
     assert convergents(spec, singular_at)[singular_at].value is None
     assert estimate_limit(spec, 10) == _reference_limit(spec, 10)
+
+
+def test_estimate_limit_imaginary_part_dominates():
+    # |Im C_k| is about 10^12 |Re C_k|, so the stopping test's bit-length
+    # screen must read the imaginary parts of num and den.
+    spec = ExpansionSpec(
+        name="imaginary-head",
+        head=ComplexParam(1, 10**12),
+        rule=CoefficientRule(a=lambda m: 1, b=lambda m: 2),
+    )
+    for digits in (10, 40):
+        assert estimate_limit(spec, digits) == _reference_limit(spec, digits)
 
 
 def test_estimate_limit_constant_family():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cfx.engine import convergents, estimate_limit, mobius
@@ -19,7 +21,14 @@ from cfx.families import (
     make_rat_exp,
     same_convergents,
 )
-from cfx.kernel import ComplexParam, DomainError, ParameterError, factorial, to_mp
+from cfx.kernel import (
+    ComplexParam,
+    DomainError,
+    ParameterError,
+    arg_in_cut_plane,
+    factorial,
+    to_mp,
+)
 from cfx.oracle import exp_series, hyp_1f1, inc_gamma_normalized
 
 
@@ -145,6 +154,49 @@ def test_inc_gamma_complex_matches_oracle():
         value, _ = estimate_limit(spec, 30)
         target = inc_gamma_normalized(z, 30).value
         assert abs(value - target) < mpf(10) ** -25
+
+
+# Parameters of the complex families: ints, real Fractions and Gaussian
+# rationals, with negative real parts and odd denominators among them.
+_PART = st.fractions(min_value=-6, max_value=6, max_denominator=15)
+_PARAM = st.one_of(st.integers(-6, 6), _PART, st.builds(ComplexParam, _PART, _PART))
+
+
+def _check_rule(spec, head, a, b):
+    """The spec's head and rule equal the paper's formulas for m <= 60, in
+    type too: a ComplexParam, with Fraction parts, exactly where the formula
+    gives one."""
+    pairs = [(spec.head, head)]
+    pairs += [(spec.rule.a(m), a(m)) for m in range(1, 61)]
+    pairs += [(spec.rule.b(m), b(m)) for m in range(1, 61)]
+    for got, want in pairs:
+        assert got == want and type(got) is type(want)
+        if isinstance(got, ComplexParam):
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+@given(z=_PARAM)
+@settings(max_examples=60, deadline=None)
+def test_complex_cf_rule_matches_paper_formula(z):
+    assume(z != 0 and arg_in_cut_plane(z))
+    # z as a Fraction when real, else in ComplexParam arithmetic.
+    zv = ComplexParam.coerce(z).value
+    for make in (make_inc_gamma, make_confluent_1f1):
+        # 1 + z + K(-z(m+z-1)/(m+2z+1))
+        _check_rule(make(z), 1 + zv, lambda m: -zv * (m + zv - 1), lambda m: m + 2 * zv + 1)
+
+
+@given(b=_PARAM, z=_PARAM)
+@settings(max_examples=60, deadline=None)
+def test_m_fraction_rule_matches_paper_formula(b, z):
+    bc, zc = ComplexParam.coerce(b), ComplexParam.coerce(z)
+    assume(zc != 0 and not (bc.is_real and bc.re <= 0 and bc.re.denominator == 1))
+    # head 0, a_1 = b, a_m = (m-1)z, b_1 = b - z, b_m = b + m - 1 - z
+    cases = [(make_m_fraction(b, z), bc.value, zc.value)]
+    if arg_in_cut_plane(zc):
+        cases.append((make_m_fraction_diagonal(z), zc.value, zc.value))
+    for spec, bv, zv in cases:
+        _check_rule(spec, 0, lambda m: bv if m == 1 else (m - 1) * zv, lambda m: bv + (m - 1) - zv)
 
 
 def test_inc_gamma_rejects_cut():
