@@ -43,10 +43,16 @@ def decimal_str(v, digits: int) -> str:
     with mp.workdps(digits + 10):
         x = to_mp(v)
         if not isinstance(x, mpc):
-            return mp.nstr(x, digits, strip_zeros=False)
+            return _nstr(x, digits)
         # mpmath's nstr of an mpc strips the zeros of the real part.
-        re, im = (mp.nstr(part, digits, strip_zeros=False) for part in (x.real, abs(x.imag)))
+        re, im = (_nstr(part, digits) for part in (x.real, abs(x.imag)))
         return f"({re} {'-' if x.imag < 0 else '+'} {im}j)"
+
+
+def _nstr(x, digits: int) -> str:
+    """A real mpf with ``digits`` significant digits; mpmath prints zero as
+    ``0.0`` at any precision, so zero gets the zeros that a one would."""
+    return mp.nstr(x, digits, strip_zeros=False) if x else "0." + "0" * (digits - 1)
 
 
 def _spec_params(args, family_ids: list[str]) -> tuple[dict, list]:

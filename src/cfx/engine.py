@@ -19,8 +19,12 @@ imaginary part is zero, the step is the real one on ints alone.
 and ComplexParams, so tables show the raw P_k, Q_k of the fraction as given:
 closed forms for denominators refer to them, while reduced values match
 printed convergent tables.  :func:`estimate_limit` works on the pairs and
-reduces only at return, and its stopping test uses the determinant identity
-P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k.
+reduces only at return.  Its stopping test rests on the determinant identity
+P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k: a float sum of the
+log2 |a_k|^2 bounds the step from below, so on the steps where raw bit
+lengths show that the test cannot pass it forms no Moebius image and no
+product, and the cross product of two consecutive images decides the few
+steps that bit lengths leave open.
 """
 
 from __future__ import annotations
@@ -301,56 +305,92 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     """Iterate convergents until two consecutive steps move by < 10^-digits.
 
     The stopping test is |C_k - C_{k-1}| < 10^-target_digits * max(1, |C_k|)
-    at two consecutive depths.  With C_k = num_k/den_k and the determinant
-    identity it reads |det M a_1...a_k| 10^d < |den_{k-1}| max(|den_k|, |num_k|),
-    decided exactly on squared magnitudes (no square root for Gaussian values).
-    It runs on the cleared recurrence of :func:`_raw_convergents`, on ints or
-    Gaussian integers held as (re, im) int pairs: both sides scale by
-    (s_k s_{k-1})^2, so the depth is that of the fraction as given, and no
-    Fraction or ComplexParam is formed before the one reduction at return.
+    at two consecutive depths.  With C_k = num_k/den_k and the cross product
+    x_k = num_k den_{k-1} - num_{k-1} den_k it reads
+    |x_k|^2 10^2d < |den_{k-1}|^2 max(|num_k|^2, |den_k|^2), on squared
+    magnitudes (no square root for Gaussian values).  It runs on the cleared
+    recurrence of :func:`_raw_convergents`, on ints or Gaussian integers held
+    as (re, im) int pairs: both sides scale by (s_k s_{k-1})^2, so the depth is
+    that of the fraction as given, and no Fraction or ComplexParam is formed
+    before the one reduction at return.
+
+    By the determinant identity |x_k| = |D_k| for D_k = det M a'_0...a'_k, and
+    |D_k| never falls, since |a'_j| >= 1 for a nonzero Gaussian integer.  No
+    product is kept: ``log_step`` sums log2 det(M)^2 and each log2 |a'_j|^2 in
+    floats.  Each of the k + 2 terms is within about an ulp, and recursive
+    summation adds at most (k + 1) 2^-53 log_step, so log_step is within
+    err = (k + 2)(log_step + 1) 2^-52 of log2 |D_k|^2: for e-euler at the depth
+    cap of 10^6, under 0.01 bit.  The rules below allow err plus one bit.
+
+    - Skip.  After a check finds a step not small, with mb the largest bit
+      length of the Moebius entries, let
+      X = floor((log_step - 1 - err + floor(log2 10^2d) - 6)/4) - mb.  While
+      every part of the raw P', Q' at both k and k-1 has at most X bits, every
+      part of num_k, den_k and den_{k-1} is below 2^(X+mb+1), so the right-hand
+      side is below 2^(4(X+mb)+6) <= |D_k|^2 10^2d: the step is not small.  It
+      resets the streak and forms no image and no product.  No step is
+      skipped before the first such check.
+    - Check.  Otherwise the images at k and k-1 are formed.  A singular
+      convergent (raw Q' = 0 or a zero image denominator) at either takes no
+      test and resets the streak.  log_step and the bit lengths of the image
+      parts decide (with e the larger bit length of a value's parts,
+      2^(e-1) <= |x| < 2^(e+1)) unless the two sides are within 10 + err
+      bits; then x_k decides exactly.  A zero det M or a'_j (the ``constant``
+      spec) makes log_step -inf and every nonsingular step small.
 
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.
     """
     cap = depth_cap()
     tol = 100**target_digits  # 10^d, squared
-    alpha, beta, gamma, delta = spec.mobius
-    step2 = (alpha * delta - beta * gamma) ** 2  # |D_k|^2, once a_k is in
-    den_prev = None  # den_{k-1} as (re, im), or None after a singular convergent
+    tol_bits = tol.bit_length() - 1  # floor(log2 tol)
+    m = spec.mobius
+    alpha, beta, gamma, delta = m
+    det = alpha * delta - beta * gamma
+    mb = max(x.bit_length() for x in m)
+    log_step = math.log2(det * det) if det else -math.inf  # ~ log2 |D_k|^2
+    lo = hi = 0  # (-2^X, 2^X): a step whose raw parts lie in it at k and k-1 is skipped
+    prev, prev_in = (-1, 1, 0, 0, 0), False  # raw k-1: P_{-1} = 1, Q_{-1} = 0 is singular
     small_streak = 0
-    for k, pr, pi, qr, qi, a2, _, cplx in _raw_convergents(spec):
+    for raw in _raw_convergents(spec):
+        k, pr, pi, qr, qi, a2, _, cplx = raw
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
-        step2 *= a2
-        nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
-        if not (qr or qi) or not (dr or di):
-            den_prev = None
+        log_step += math.log2(a2) if a2 else -math.inf
+        cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
+        if cur_in and prev_in:  # not small, provably: no image, no product
             small_streak = 0
+            prev = raw
             continue
-        if den_prev is not None:
-            if _less(step2, tol, den_prev, nr, ni, dr, di):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
+        nr, ni, dr, di = _image(m, pr, pi, qr, qi)
+        npr, npi, dpr, dpi = _image(m, *prev[1:5])
+        if not ((qr or qi) and (dr or di) and (prev[3] or prev[4]) and (dpr or dpi)):
+            small = False  # C_k or C_{k-1} is singular: no test
+        elif log_step == -math.inf:
+            small = True  # det M or an a'_j is zero: x_k = 0
+        else:
+            err = (k + 2) * (log_step + 1) * 2.0**-52
+            lhs = log_step + tol_bits
+            rhs = 2 * (max(dpr.bit_length(), dpi.bit_length())
+                       + max(nr.bit_length(), ni.bit_length(), dr.bit_length(), di.bit_length()))
+            if abs(lhs - rhs) >= 10 + err:
+                small = lhs < rhs
             else:
-                small_streak = 0
-        den_prev = dr, di
+                xr = nr * dpr - ni * dpi - npr * dr + npi * di
+                xi = nr * dpi + ni * dpr - npr * di - npi * dr
+                small = ((xr * xr + xi * xi) * tol
+                         < (dpr * dpr + dpi * dpi) * max(nr * nr + ni * ni, dr * dr + di * di))
+            if not small:
+                x_bits = math.floor((log_step - 1 - err + tol_bits - 6) / 4) - mb
+                hi = 1 << x_bits if x_bits > 0 else 0
+                lo = -hi
+                cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
+        small_streak = small_streak + 1 if small else 0
+        if small_streak >= 2:
+            break
+        prev, prev_in = raw, cur_in
     value = _quotient(nr, ni, dr, di, cplx)
     if not cplx:
         return value, k
     with mp.workdps(target_digits + max(10, target_digits // 4)):
         return value.to_mp(), k
-
-
-def _less(step2: int, tol: int, den_prev: tuple, nr: int, ni: int, dr: int, di: int) -> bool:
-    """step2 * tol < |den_prev|^2 max(|num|^2, |den|^2), exactly, for Gaussian
-    integers as (re, im) pairs, den_prev and den nonzero: bit lengths decide
-    unless the two sides are within a few bits of each other.  With e the
-    larger bit length of its parts, 2^(e-1) <= |x| < 2^(e+1)."""
-    dpr, dpi = den_prev
-    lhs = (step2.bit_length() if step2 else -math.inf) + tol.bit_length()
-    rhs = 2 * (max(dpr.bit_length(), dpi.bit_length())
-               + max(nr.bit_length(), ni.bit_length(), dr.bit_length(), di.bit_length()))
-    if abs(lhs - rhs) >= 10:
-        return lhs < rhs
-    return step2 * tol < (dpr * dpr + dpi * dpi) * max(nr * nr + ni * ni, dr * dr + di * di)

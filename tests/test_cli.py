@@ -290,6 +290,19 @@ def test_convergents_complex_decimal_keeps_digits_in_both_parts(capsys):
     assert next(csv.DictReader(io.StringIO(out)))["decimal"] == "(2.0000 - 2.0000j)"
 
 
+def test_convergents_zero_decimal_keeps_digits(capsys):
+    # Row 0 of the M-fraction is 0, and the inc-gamma head at z = -1+2i is 2i.
+    for argv, decimal in (
+        (("--expansion", "m-fraction", "--b", "1", "--z", "1"), "0.0000000"),
+        (("--expansion", "inc-gamma", "--z", "-1+2i"), "(0.0000000 + 2.0000000j)"),
+    ):
+        status, out, _ = run_cli(capsys, "convergents", *argv, "--depth", "1",
+                                 "--digits", "8", "--format", "csv")
+        assert status == 0
+        assert next(csv.DictReader(io.StringIO(out)))["decimal"] == decimal
+    assert cli.decimal_str(0, 1) == "0."
+
+
 def test_python_m_cfx_matches_in_process_main(capsys):
     argv = ["eval", "--expansion", "e-euler", "--digits", "10"]
     src = Path(cli.__file__).resolve().parents[1]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -348,8 +349,14 @@ def test_convergents_raw_table_matches_unscaled_recurrence(spec):
                 assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
-@pytest.mark.parametrize("singular_at", [3, 15, 16])
-def test_estimate_limit_singular_step_resets_streak(singular_at):
+@pytest.mark.parametrize(
+    "singular_at,digits",
+    [pytest.param(k, 10, id=str(k)) for k in (3, 15, 16)]
+    # Without the singular step the fraction stops at depth 54 at 40 digits:
+    # the steps that bit lengths skip must not step over Q_K = 0 there.
+    + [pytest.param(k, 40, id=f"{k}-40digits") for k in (52, 53, 54)],
+)
+def test_estimate_limit_singular_step_resets_streak(singular_at, digits):
     # b_m = 2 except one b_K chosen so that Q_K = 0, near where steps get small.
     q_prev, q = 0, 1
     for _ in range(1, singular_at):
@@ -361,7 +368,76 @@ def test_estimate_limit_singular_step_resets_streak(singular_at):
         rule=CoefficientRule(a=lambda m: 1, b=lambda m: b_k if m == singular_at else 2),
     )
     assert convergents(spec, singular_at)[singular_at].value is None
-    assert estimate_limit(spec, 10) == _reference_limit(spec, 10)
+    assert estimate_limit(spec, digits) == _reference_limit(spec, digits)
+
+
+@pytest.mark.parametrize(
+    "spec,digits",
+    [
+        pytest.param(make_exp_n(3), 5, id="exp-n-3-5"),
+        pytest.param(make_exp_n(3), 25, id="exp-n-3-25"),
+        # complex values through a Moebius map with det M = 14
+        pytest.param(replace(make_inc_gamma(ComplexParam(Fraction(1, 2), Fraction(3, 2))),
+                             mobius=(8, -3, 2, 1)), 10, id="inc-gamma-moebius-10"),
+    ],
+)
+def test_estimate_limit_exact_branch(spec, digits):
+    # At some step before the stop the two sides of the stopping test are
+    # within a factor 2, where bit lengths cannot decide: the cross product
+    # num_k den_{k-1} - num_{k-1} den_k decides exactly.
+    expected = _reference_limit(spec, digits)
+    values = [c.value for c in convergents(spec, expected[1])]
+    ratios = [_norm2(b - a) * 100**digits / max(1, _norm2(b)) for a, b in zip(values, values[1:])]
+    assert any(Fraction(1, 2) < r < 2 for r in ratios)
+    assert estimate_limit(spec, digits) == expected
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_estimate_limit_skip_reads_both_raw_pairs(k):
+    # b_m = 2 except b_{K-1} = 10^12 and b_K = 0: the step to C_{K-1} is tiny,
+    # and C_K = C_{K-2}, so the step to C_K is as tiny while the raw P_K, Q_K
+    # are 10^12 times smaller than P_{K-1}, Q_{K-1}.  Raw parts within the
+    # skip bound at K alone do not make the step at K large.
+    spec = ExpansionSpec(
+        name="zero-after-huge-b",
+        head=0,
+        rule=CoefficientRule(a=lambda m: 1,
+                             b=lambda m: 10**12 if m == k - 1 else 0 if m == k else 2),
+    )
+    value, depth = estimate_limit(spec, 10)
+    assert (value, depth) == _reference_limit(spec, 10)
+    assert depth == k
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    _SMALL,
+    st.builds(ComplexParam, _SMALL, _SMALL.filter(lambda x: x != 0)),
+)
+
+
+@given(
+    head=_SCALARS,
+    a=st.lists(_SCALARS.filter(lambda x: x != 0), min_size=1, max_size=4),
+    b=st.lists(_SCALARS, min_size=1, max_size=4),
+    m=st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda m: m[2] or m[3]),
+    digits=st.integers(1, 60),
+)
+@settings(max_examples=150, deadline=None)
+def test_estimate_limit_matches_reference_random(head, a, b, m, digits):
+    # Cycled coefficients: b_1 and b_2 may vanish or nearly cancel, so raw
+    # Q_k and the Moebius denominators can hit zero early; from k = 3 on,
+    # |b_k| >= 8 > |a_k| + 2 keeps the fraction converging fast.  Entries of
+    # M of either sign let its image cancel.
+    spec = ExpansionSpec(
+        name="random",
+        head=head,
+        rule=CoefficientRule(a=lambda k: a[k % len(a)],
+                             b=lambda k: b[k % len(b)] + (0 if k <= 2 else 12)),
+        mobius=m,
+    )
+    assert estimate_limit(spec, digits) == _reference_limit(spec, digits)
 
 
 def test_estimate_limit_imaginary_part_dominates():
