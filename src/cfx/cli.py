@@ -142,20 +142,8 @@ def cmd_diff_table(args) -> tuple[dict, int]:
         raise ParameterError("diff-table requires --n >= 1")
     if args.depth < 1:
         raise ParameterError("diff-table requires --depth >= 1")
-    spec = families.make_exp_n(args.n)
-    convs = engine.convergents(spec, args.depth)
-    rows = []
-    for k in range(1, args.depth + 1):
-        direct = convs[k].value - convs[k - 1].value
-        formula = identities.difference_formula(args.n, k)
-        rows.append(
-            {
-                "k": k,
-                "difference": str(direct),
-                "formula": str(formula),
-                "match": direct == formula,
-            }
-        )
+    rows = [{"k": k, "difference": str(direct), "formula": str(formula), "match": direct == formula}
+            for k, direct, formula, _ in identities.difference_rows(args.n, args.depth)]
     record = _record(
         "diff-table",
         {"n": args.n, "depth": args.depth},
@@ -301,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cfx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, depth=True):
-        p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS)
+    def add_common(p, depth=True, digits=True):
+        if digits:
+            p.add_argument("--digits", type=_positive_int, default=DEFAULT_DIGITS)
         if depth:
             p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -325,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff-table", help="successive differences vs closed form")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, digits=False)
     p.set_defaults(fn=cmd_diff_table)
 
     p = sub.add_parser("verify", help="run the identity verification suite")

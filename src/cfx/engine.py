@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -83,14 +83,13 @@ def mobius(alpha, beta=0, gamma=0, delta=1) -> tuple[int, int, int, int]:
 @dataclass(frozen=True)
 class ExpansionSpec:
     """One continued-fraction family: M(b0 + K(a_m/b_m)) for the Moebius matrix
-    ``mobius``; an affine finisher prefix + scale w is ``mobius(scale, prefix)``."""
+    ``mobius``; an affine finisher prefix + scale w is ``mobius(scale, prefix)``.
+    With no ``rule`` every convergent equals M(head)."""
 
     name: str
     head: Scalar
     rule: Optional[CoefficientRule]
     mobius: tuple = IDENTITY
-    constant: bool = False  # degenerate family: every convergent equals M(head)
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,11 @@ def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
     alone.  ``complex_k`` is true once the head or a coefficient up to a_k,
     b_k is a ComplexParam: the raw values and convergents at k are
     ComplexParams then, as arithmetic in that type would give them.  A
-    constant spec has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step
-    is zero."""
+    spec with no rule has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every
+    step is zero."""
     pr, pi, s = gaussian(spec.head)
     cplx = isinstance(spec.head, ComplexParam)
-    if spec.constant:
+    if spec.rule is None:
         yield from ((k, pr, pi, s, 0, 0 if k else s**4, s, cplx) for k in itertools.count())
     rule = spec.rule
     real = not pi
@@ -335,8 +334,8 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       test and resets the streak.  log_step and the bit lengths of the image
       parts decide (with e the larger bit length of a value's parts,
       2^(e-1) <= |x| < 2^(e+1)) unless the two sides are within 10 + err
-      bits; then x_k decides exactly.  A zero det M or a'_j (the ``constant``
-      spec) makes log_step -inf and every nonsingular step small.
+      bits; then x_k decides exactly.  A zero det M or a'_j (a spec with no
+      rule) makes log_step -inf and every nonsingular step small.
 
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.

@@ -34,14 +34,7 @@ from typing import Callable, Optional
 
 from . import oracle
 from .engine import CoefficientRule, ExpansionSpec, convergents, mobius
-from .kernel import (
-    ComplexParam,
-    DomainError,
-    ParameterError,
-    arg_in_cut_plane,
-    factorial,
-    gaussian,
-)
+from .kernel import ComplexParam, ParameterError, cut_plane_point, factorial, gaussian
 
 def make_e_euler() -> ExpansionSpec:
     """e = 3 - 1/4 - 2/5 - 3/6 - ..."""
@@ -63,7 +56,6 @@ def make_exp_n(n: int) -> ExpansionSpec:
         head=1 + n,
         rule=CoefficientRule(a=lambda m: -n * (m + n - 1), b=lambda m: m + 2 * n + 1),
         mobius=mobius(scale, prefix),
-        params={"n": n},
     )
 
 
@@ -76,7 +68,6 @@ def make_exp_n_shifted(n: int) -> ExpansionSpec:
         name=f"exp-n-shifted(n={n})",
         head=0,
         rule=CoefficientRule(a=lambda m: -n * (m + n), b=lambda m: m + 2 * n + 2),
-        params={"n": n},
     )
 
 
@@ -112,25 +103,19 @@ def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
         name=name,
         head=_rational(d + p, q, d, cplx),
         rule=CoefficientRule(a=a, b=b),
-        params={"z": z},
     )
 
 
 def make_inc_gamma(z) -> ExpansionSpec:
     """gamma(z,z)/(z^{z-1} e^{-z}) = 1 + z + K(-z(m+z-1)/(m+2z+1)) on the cut plane."""
-    z = ComplexParam.coerce(z)
-    if not arg_in_cut_plane(z):
-        raise DomainError(f"z = {z} is not in the cut plane")
+    z = cut_plane_point(z)
     return _complex_cf_spec(f"inc-gamma(z={z})", z)
 
 
 def make_confluent_1f1(z) -> ExpansionSpec:
     """1F1(1; z+1; z), same fraction as the incomplete-gamma family."""
-    z = ComplexParam.coerce(z)
-    if not arg_in_cut_plane(z):
-        raise DomainError(f"z = {z} is not in the cut plane")
-    spec = _complex_cf_spec(f"confluent-1f1(z={z})", z)
-    return spec
+    z = cut_plane_point(z)
+    return _complex_cf_spec(f"confluent-1f1(z={z})", z)
 
 
 def make_m_fraction(b, z) -> ExpansionSpec:
@@ -146,10 +131,7 @@ def make_m_fraction(b, z) -> ExpansionSpec:
         raise ParameterError(f"b = {b} is a non-positive integer")
     if z == 0:
         # 1F1(1; b+1; 0) = 1: no K terms remain.
-        return ExpansionSpec(
-            name=f"m-fraction(b={b},z=0)", head=1, rule=None, constant=True,
-            params={"b": b, "z": z},
-        )
+        return ExpansionSpec(name=f"m-fraction(b={b},z=0)", head=1, rule=None)
     # With b = (pb + i qb)/db and z = (p + iq)/d over D = lcm(db, d):
     # a_m = (m-1)(p + iq)/d for m >= 2, and b_m = (c + (m-1)D + ie)/D.
     (pb, qb, db), (p, q, d) = gaussian(b), gaussian(z)
@@ -166,16 +148,13 @@ def make_m_fraction(b, z) -> ExpansionSpec:
         return ComplexParam(re, b_im) if cplx else re
 
     return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
-                         rule=CoefficientRule(a=a, b=bb), params={"b": b, "z": z})
+                         rule=CoefficientRule(a=a, b=bb))
 
 
 def make_m_fraction_diagonal(z) -> ExpansionSpec:
     """The b = z specialization of the M-fraction, valid on the cut plane."""
-    z = ComplexParam.coerce(z)
-    if not arg_in_cut_plane(z):
-        raise DomainError(f"z = {z} is not in the cut plane")
-    spec = make_m_fraction(z, z)
-    return replace(spec, name=f"m-fraction-diagonal(z={z})")
+    z = cut_plane_point(z)
+    return replace(make_m_fraction(z, z), name=f"m-fraction-diagonal(z={z})")
 
 
 def make_rat_exp(l: int, n: int) -> ExpansionSpec:
@@ -201,7 +180,6 @@ def make_rat_exp(l: int, n: int) -> ExpansionSpec:
             cf_coeff,
             shift,
         ),
-        params={"l": l, "n": n},
     )
 
 
@@ -209,61 +187,28 @@ def make_exp_inv_n(n: int) -> ExpansionSpec:
     """e^{1/n} for n > 2: the l = 1 specialization of the rational family."""
     if n <= 2:
         raise ParameterError("exp-inv-n requires n > 2")
-    return replace(make_rat_exp(1, n), name=f"exp-inv-n(n={n})", params={"n": n})
+    return replace(make_rat_exp(1, n), name=f"exp-inv-n(n={n})")
 
 
-def _regular(pattern_fn) -> CoefficientRule:
-    return CoefficientRule(a=lambda m: 1, b=pattern_fn)
+def _regular(name: str, head: int, blocks: tuple) -> ExpansionSpec:
+    """The regular fraction [head; b_1, b_2, ...] whose partial denominators
+    run in blocks of len(blocks): b_{j len(blocks) + r + 1} = c + s j for
+    blocks[r] = (c, s) and j = 0, 1, ..."""
+    size = len(blocks)
+
+    def b(m: int) -> int:
+        j, r = divmod(m - 1, size)
+        c, s = blocks[r]
+        return c + s * j
+
+    return ExpansionSpec(name=name, head=head, rule=CoefficientRule(a=lambda m: 1, b=b))
 
 
-def make_classical(family_id: str, **params) -> ExpansionSpec:
-    """The five classical comparison fixtures.
-
-    The displayed terms of the sqrt-style e^{1/M} fraction are continued with
-    the period-3 pattern ((2j+1)M-1, 1, 1); the sporadic expansion continues
-    its denominators 1, 6, 10, 14, ... as 4m-2 for m >= 2.  Both
-    continuations are inferred from the printed initial terms and are
-    validated against the series oracle in the test suite.
-    """
-    if family_id == "e-regular":
-        # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, 1, ...], triples (1, 2j, 1).
-        def b(m: int) -> int:
-            j, r = divmod(m - 1, 3)
-            return (1, 2 * (j + 1), 1)[r]
-
-        return ExpansionSpec(name="e-regular", head=2, rule=_regular(b))
-    if family_id == "e-over":
-        return ExpansionSpec(
-            name="e-over", head=2,
-            rule=CoefficientRule(a=lambda m: m + 1, b=lambda m: m + 1),
-        )
-    if family_id == "e-sporadic":
-        return ExpansionSpec(
-            name="e-sporadic", head=1,
-            rule=CoefficientRule(
-                a=lambda m: 2 if m == 1 else 1,
-                b=lambda m: 1 if m == 1 else 4 * m - 2,
-            ),
-        )
-    if family_id == "e-squared":
-        # e^2 = [7; 3j+2, 1, 1, 3j+3, 12j+18], j = 0, 1, 2, ...
-        def b(m: int) -> int:
-            j, r = divmod(m - 1, 5)
-            return (3 * j + 2, 1, 1, 3 * j + 3, 12 * j + 18)[r]
-
-        return ExpansionSpec(name="e-squared", head=7, rule=_regular(b))
-    if family_id == "e-one-over-M":
-        M = params.get("M")
-        if M is None or M <= 1:
-            raise ParameterError("e-one-over-M requires M > 1")
-
-        def b(m: int) -> int:
-            j, r = divmod(m - 1, 3)
-            return ((2 * j + 1) * M - 1, 1, 1)[r]
-
-        return ExpansionSpec(name=f"e-one-over-M(M={M})", head=1,
-                             rule=_regular(b), params={"M": M})
-    raise ParameterError(f"unknown classical family {family_id!r}")
+def _e_one_over_m(M: int) -> ExpansionSpec:
+    if M <= 1:
+        raise ParameterError("e-one-over-M requires M > 1")
+    # Blocks ((2j+1)M - 1, 1, 1).
+    return _regular(f"e-one-over-M(M={M})", 1, ((M - 1, 2 * M), (1, 0), (1, 0)))
 
 
 # Parse type of every family parameter (a CLI flag of the same name), in the
@@ -307,6 +252,24 @@ _E = _exp(lambda p: 1)
 _DIAG = {"label": lambda p: "1f1-diag",
          "oracle": lambda p, digits: oracle.inc_gamma_normalized(p["z"], digits).value}
 
+# The five classical e fixtures the paper's families are compared with.  The
+# sqrt-style e^{1/M} fraction continues its displayed terms with the period-3
+# pattern ((2j+1)M-1, 1, 1); the sporadic expansion continues its
+# denominators 1, 6, 10, 14, ... as 4m-2 for m >= 2.  Both continuations are
+# inferred from the printed initial terms and are validated against the
+# series oracle in the test suite.
+_CLASSICAL = (
+    # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, 1, ...], triples (1, 2j+2, 1).
+    Family("e-regular", (), lambda: _regular("e-regular", 2, ((1, 0), (2, 2), (1, 0))), **_E),
+    Family("e-over", (), lambda: ExpansionSpec(
+        "e-over", 2, CoefficientRule(a=lambda m: m + 1, b=lambda m: m + 1)), **_E),
+    Family("e-sporadic", (), lambda: ExpansionSpec("e-sporadic", 1, CoefficientRule(
+        a=lambda m: 2 if m == 1 else 1, b=lambda m: 1 if m == 1 else 4 * m - 2)), **_E),
+    # e^2 = [7; 3j+2, 1, 1, 3j+3, 12j+18], j = 0, 1, 2, ...
+    Family("e-squared", (), lambda: _regular(
+        "e-squared", 7, ((2, 3), (1, 0), (1, 0), (3, 3), (18, 12))), **_exp(lambda p: 2)),
+    Family("e-one-over-M", ("M",), _e_one_over_m, **_exp(lambda p: Fraction(1, p["M"]))),
+)
 FAMILIES = {family.id: family for family in (
     Family("e-euler", (), make_e_euler, **_E),
     Family("exp-n", ("n",), make_exp_n, **_exp(lambda p: p["n"])),
@@ -319,12 +282,7 @@ FAMILIES = {family.id: family for family in (
     Family("m-fraction-diagonal", ("z",), make_m_fraction_diagonal, **_DIAG),
     Family("rat-exp", ("l", "n"), make_rat_exp, **_exp(lambda p: Fraction(p["l"], p["n"]))),
     Family("exp-inv-n", ("n",), make_exp_inv_n, **_exp(lambda p: Fraction(1, p["n"]))),
-    Family("e-regular", (), lambda: make_classical("e-regular"), **_E),
-    Family("e-over", (), lambda: make_classical("e-over"), **_E),
-    Family("e-sporadic", (), lambda: make_classical("e-sporadic"), **_E),
-    Family("e-squared", (), lambda: make_classical("e-squared"), **_exp(lambda p: 2)),
-    Family("e-one-over-M", ("M",), lambda M: make_classical("e-one-over-M", M=M),
-           **_exp(lambda p: Fraction(1, p["M"]))),
+    *_CLASSICAL,
 )}
 FAMILY_IDS = tuple(FAMILIES)
 
@@ -339,6 +297,13 @@ def make_family(family_id: str, **params) -> ExpansionSpec:
         if params.get(key) is None:
             raise ParameterError(f"missing required parameter --{key}")
     return family.build(*(params[key] for key in family.params))
+
+
+def make_classical(family_id: str, **params) -> ExpansionSpec:
+    """One of the five classical comparison fixtures, by id."""
+    if not any(family.id == family_id for family in _CLASSICAL):
+        raise ParameterError(f"unknown classical family {family_id!r}")
+    return make_family(family_id, **params)
 
 
 def same_convergents(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
 
@@ -187,21 +187,23 @@ def difference_formula(n: int, k: int) -> Fraction:
     )
 
 
+def difference_rows(n: int, depth: int) -> Iterator[tuple[int, Fraction, Fraction, bool]]:
+    """(k, C_k - C_{k-1}, closed form, n | raw numerator) of exp-n for
+    k = 1..depth, from the engine's raw convergents."""
+    convs = convergents(make_exp_n(n), depth)
+    for k in range(1, depth + 1):
+        # The unreduced numerator P_k Q_{k-1} - P_{k-1} Q_k of the engine's
+        # raw convergents is divisible by n.
+        raw = convs[k].p_raw * convs[k - 1].q_raw - convs[k - 1].p_raw * convs[k].q_raw
+        yield k, convs[k].value - convs[k - 1].value, difference_formula(n, k), raw % n == 0
+
+
 def check_difference_formula(n: int, k_max: int) -> VerificationReport:
     """Exact convergent subtraction against the closed-form difference."""
     if n < 1 or k_max < 1:
         raise ParameterError("requires n >= 1 and k_max >= 1")
-    spec = make_exp_n(n)
-    convs = convergents(spec, k_max)
-    bad = []
-    for k in range(1, k_max + 1):
-        direct = convs[k].value - convs[k - 1].value
-        formula = difference_formula(n, k)
-        # The unreduced numerator P_k Q_{k-1} - P_{k-1} Q_k of the engine's
-        # raw convergents is divisible by n.
-        raw = convs[k].p_raw * convs[k - 1].q_raw - convs[k - 1].p_raw * convs[k].q_raw
-        if direct != formula or raw % n != 0:
-            bad.append(k)
+    rows = list(difference_rows(n, k_max))
+    bad = [k for k, direct, formula, divisible in rows if direct != formula or not divisible]
     note = DIFF_TABLE_NOTE if n == 1 and k_max >= 3 else None
     return VerificationReport(
         claim_id="diff",
@@ -209,9 +211,7 @@ def check_difference_formula(n: int, k_max: int) -> VerificationReport:
         expected="C_k - C_{k-1} = -n^{n+k+1}/((n-1)!(n)_{k+1}(k+1)k), n | numerator",
         actual="exact match for all k" if not bad else f"mismatch at k={bad[:5]}",
         passed=not bad,
-        witness={
-            "first_differences": [str(convs[k].value - convs[k - 1].value) for k in range(1, min(5, k_max + 1))]
-        },
+        witness={"first_differences": [str(direct) for _, direct, _, _ in rows[:4]]},
         note=note,
     )
 

@@ -212,6 +212,14 @@ def arg_in_cut_plane(z) -> bool:
     return z.re >= 0 or abs(z.im) > Fraction(1, 10**_CUT_DIGITS)
 
 
+def cut_plane_point(z) -> ComplexParam:
+    """z as a ComplexParam; DomainError unless :func:`arg_in_cut_plane` holds."""
+    z = ComplexParam.coerce(z)
+    if not arg_in_cut_plane(z):
+        raise DomainError(f"z = {z} is not in the cut plane")
+    return z
+
+
 def to_mp(x: Scalar) -> Scalar:
     """Convert exact values to mpf at ambient precision; pass floats through."""
     if isinstance(x, Fraction):

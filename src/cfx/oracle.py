@@ -28,11 +28,10 @@ from mpmath import quad  # noqa: F401
 
 from .kernel import (
     ComplexParam,
-    DomainError,
     ParameterError,
     PrecisionError,
     Scalar,
-    arg_in_cut_plane,
+    cut_plane_point,
     factorial,
     gaussian,
     pochhammer,
@@ -124,9 +123,7 @@ def inc_gamma_normalized(z, digits: int) -> SeriesResult:
     Equals z * sum_k z^k / (z)_{k+1} = 1F1(1; z+1; z): the power and
     exponential factors cancel, so no branch choices enter.
     """
-    z = ComplexParam.coerce(z)
-    if not arg_in_cut_plane(z):
-        raise DomainError(f"z = {z} is not in the cut plane")
+    z = cut_plane_point(z)
     return hyp_1f1(z + 1, z, digits + 5)
 
 

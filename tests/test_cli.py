@@ -153,6 +153,24 @@ def test_diff_table_depth_0_exit_2(capsys):
     assert out == ""
 
 
+def test_diff_table_takes_no_digits_exit_2(capsys):
+    status, out, err = run_cli(capsys, "diff-table", "--n", "1", "--depth", "3", "--digits", "5")
+    assert status == 2
+    assert "--digits" in err
+    assert out == ""
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("cfx ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 0, (argv, err)
+        assert out
+
+
 def test_verify_subset_exit_0(capsys):
     status, out, _ = run_cli(
         capsys, "verify", "--suite", "diff", "--max-n", "3", "--depth", "10"

@@ -30,8 +30,8 @@ from cfx.families import (
     make_m_fraction_diagonal,
     shifted_tail,
 )
-from cfx.kernel import ComplexParam, NonConvergenceError, ParameterError, SingularError
-from cfx.oracle import exp_series, hyp_2f2
+from cfx.kernel import ComplexParam, NonConvergenceError, ParameterError, SingularError, to_mp
+from cfx.oracle import exp_series, hyp_1f1, hyp_2f2
 
 E_EULER_TABLE = [
     Fraction(3),
@@ -450,6 +450,18 @@ def test_estimate_limit_imaginary_part_dominates():
     )
     for digits in (10, 40):
         assert estimate_limit(spec, digits) == _reference_limit(spec, digits)
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: the stopping test takes a plateau of "
+                   "the M-fraction with a large real z for the limit")
+def test_estimate_limit_m_fraction_large_real_z():
+    # The convergents sit near -1/z for a dozen steps before they climb to
+    # 1F1(1; 2; 30) ~ 3.562e11 (past depth ~90); at 10 digits two of those
+    # steps pass the stopping test at depth 14.
+    value, _ = estimate_limit(make_m_fraction(1, 30), 10)
+    with mp.workdps(30):
+        target = hyp_1f1(2, 30, 20).value
+        assert abs(to_mp(value) - target) <= mpf(10) ** -8 * abs(target)
 
 
 def test_estimate_limit_constant_family():

@@ -128,6 +128,35 @@ def test_e_sporadic_initial_convergents_approach_e():
     assert convs[3].value == Fraction(193, 71)
 
 
+CLASSICAL_PARAMS = {"e-regular": {}, "e-over": {}, "e-sporadic": {}, "e-squared": {},
+                    "e-one-over-M": {"M": 3}}
+
+
+@pytest.mark.parametrize("family_id", CLASSICAL_PARAMS)
+def test_make_classical_is_make_family(family_id):
+    params = CLASSICAL_PARAMS[family_id]
+    a, b = make_classical(family_id, **params), make_family(family_id, **params)
+    assert a.name == b.name
+    assert [c.value for c in convergents(a, 40)] == [c.value for c in convergents(b, 40)]
+
+
+def test_make_classical_rejects_a_paper_family():
+    with pytest.raises(ParameterError, match="unknown classical family 'e-euler'"):
+        make_classical("e-euler")
+
+
+@pytest.mark.parametrize("z", [-3, Fraction(-1, 2), 0, ComplexParam(-1, Fraction(1, 10**16))],
+                         ids=["-3", "-1/2", "0", "-1+1e-16i"])
+def test_cut_plane_families_and_oracle_share_one_error(z):
+    messages = set()
+    for build in (make_inc_gamma, make_confluent_1f1, make_m_fraction_diagonal,
+                  lambda z: inc_gamma_normalized(z, 20)):
+        with pytest.raises(DomainError) as excinfo:
+            build(z)
+        messages.add(str(excinfo.value))
+    assert messages == {f"z = {ComplexParam.coerce(z)} is not in the cut plane"}
+
+
 def test_classical_rejects_bad_m():
     with pytest.raises(ParameterError):
         make_classical("e-one-over-M", M=1)
@@ -219,7 +248,7 @@ def test_m_fraction_b2_z1_matches_1f1():
 
 def test_m_fraction_z0_is_constant_one():
     spec = make_m_fraction(3, 0)
-    assert spec.constant
+    assert spec.rule is None
     convs = convergents(spec, 4)
     assert all(c.value == 1 for c in convs)
 
