@@ -334,14 +334,16 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       test and resets the streak.  log_step and the bit lengths of the image
       parts decide (with e the larger bit length of a value's parts,
       2^(e-1) <= |x| < 2^(e+1)) unless the two sides are within 10 + err
-      bits; then x_k decides exactly.  A zero det M or a'_j (a spec with no
+      bits; then x_k decides exactly, on |.| with no squares when every
+      imaginary part is zero.  A zero det M or a'_j (a spec with no
       rule) makes log_step -inf and every nonsingular step small.
 
     Returns the reduced Fraction of a real limit; a non-real limit is rounded
     once to an mpc at target_digits + max(10, target_digits // 4) digits.
     """
     cap = depth_cap()
-    tol = 100**target_digits  # 10^d, squared
+    scale = 10**target_digits
+    tol = scale * scale  # 10^d, squared
     tol_bits = tol.bit_length() - 1  # floor(log2 tol)
     m = spec.mobius
     alpha, beta, gamma, delta = m
@@ -374,6 +376,9 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
                        + max(nr.bit_length(), ni.bit_length(), dr.bit_length(), di.bit_length()))
             if abs(lhs - rhs) >= 10 + err:
                 small = lhs < rhs
+            elif not (ni or di or npi or dpi):  # real: the same test on |.|, no squares
+                small = (abs(nr * dpr - npr * dr) * scale
+                         < abs(dpr) * max(abs(nr), abs(dr)))
             else:
                 xr = nr * dpr - ni * dpi - npr * dr + npi * di
                 xi = nr * dpi + ni * dpr - npr * di - npi * dr

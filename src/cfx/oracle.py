@@ -7,9 +7,10 @@ a power series summed term by term, in one of two ways:
   wrap one mpmath loop, :func:`hyp_sum`, whose guard digits grow with the cancellation
   among its terms (1/e^(-x) and Kummer's transformation avoid it for real x < 0);
 * the integral series (``beta_exp_integral``, ``exp_rational_integral``)
-  integrate ``e^{ct}`` term by term in exact ``Fraction``s and stop once a
-  certified geometric bound on the positive tail is below 10^-digits of the
-  partial sum.
+  integrate ``e^{ct}`` term by term as exact integer series, every term over
+  one running integer denominator, and stop once a certified geometric bound
+  on the positive tail is below 10^-digits of the partial sum; the sum and
+  the bound are reduced to ``Fraction``s once, at the end.
 
 They are the ground truth the fraction families are verified against.
 """
@@ -196,62 +197,72 @@ def sigma_partial(param, depth: int) -> Fraction:
     return total
 
 
-def _certified_sum(terms, digits: int) -> SeriesResult:
+def _certified_sum(steps, digits: int) -> SeriesResult:
     """Sum exact positive terms until the tail is below 10^-digits of the sum.
 
-    ``terms`` yields pairs (t_k, b_k) where b_k bounds sum_{j>k} t_j.  The
-    series below get b_k from a geometric majorant: if r_k < 1 bounds every
-    ratio t_{j+1}/t_j with j >= k, the tail is at most t_k r_k/(1 - r_k).
+    ``steps`` yields triples (f_k, T_k, (u_k, v_k)) of positive ints: the term
+    is t_k = T_k/D_k over the running denominator D_k = f_0 f_1 ... f_k, and
+    t_k u_k/v_k bounds sum_{j>k} t_j.  The partial sum is kept as S_k/D_k with
+    S_k = S_{k-1} f_k + T_k, and the stopping test t_k (u_k/v_k) 10^digits <
+    S_k/D_k is the integer test T_k u_k 10^digits < S_k v_k, so no gcd is taken
+    before the two Fractions returned.  The series below get u_k/v_k from a
+    geometric majorant: if r_k < 1 bounds every ratio t_{j+1}/t_j with j >= k,
+    the tail is at most t_k r_k/(1 - r_k).
     """
     scale = 10**digits
-    total = Fraction(0)
-    for k, (term, tail) in enumerate(terms):
-        total += term
-        if tail * scale < total:
-            return SeriesResult(total, k + 1, tail)
+    total, den = 0, 1
+    for k, (factor, term, (u, v)) in enumerate(steps):
+        den *= factor
+        total = total * factor + term
+        if term * u * scale < total * v:
+            return SeriesResult(Fraction(total, den), k + 1, Fraction(term * u, den * v))
 
 
 def beta_exp_integral(n: int, digits: int) -> SeriesResult:
     """int_0^1 (1-t)^{n-1} e^{nt} dt = sum_k n^k (n-1)!/(n+k)!, exactly.
 
-    Termwise B(k+1, n) = k!(n-1)!/(n+k)!.  The term ratio n/(n+k+1) falls,
-    so r_k = n/(n+k+1) and the tail after t_k is at most t_k n/(k+1).
+    Termwise B(k+1, n) = k!(n-1)!/(n+k)!, so t_k = n^k/D_k with
+    D_k = n(n+1)...(n+k).  The term ratio n/(n+k+1) falls, so
+    r_k = n/(n+k+1) and the tail after t_k is at most t_k n/(k+1).
     Scaled by n^n/(n-1)!, the sum is the Taylor remainder
     e^n - sum_{k<n} n^k/k!.
     """
     if n < 1:
         raise ParameterError("requires n >= 1")
 
-    def terms():
-        t = Fraction(1, n)
+    def steps():
+        power = 1  # n^k
         k = 0
         while True:
-            yield t, t * n / (k + 1)
+            yield n + k, power, (n, k + 1)
             k += 1
-            t = t * n / (n + k)
+            power *= n
 
-    return _certified_sum(terms(), digits)
+    return _certified_sum(steps(), digits)
 
 
 def exp_rational_integral(l: int, n: int, digits: int) -> SeriesResult:
     """int_0^1 t^{-l/n} e^{tl/n} (l(t-1) + n) dt, claimed to equal n e^{l/n}.
 
     Integrating e^{tl/n} term by term gives, exactly,
-    sum_k (l/n)^k/k! [ln/(n(k+2)-l) + n(n-l)/(n(k+1)-l)].  The bracket falls
-    in k, so every ratio t_{j+1}/t_j with j >= k is at most
-    r_k = (l/n)/(k+1), and the tail after t_k is at most t_k l/(n(k+1)-l).
+    sum_k (l/n)^k/k! [ln/f(k+1) + n(n-l)/f(k)] with f(j) = n(j+1) - l > 0.
+    Over D_k = n^k k! f(0)...f(k+1), which absorbs both bracket denominators,
+    the term numerator is l^k f(0)...f(k-1) [ln f(k) + n(n-l) f(k+1)].  The
+    bracket falls in k, so every ratio t_{j+1}/t_j with j >= k is at most
+    r_k = (l/n)/(k+1), and the tail after t_k is at most t_k l/f(k).
     """
     if not (1 <= l < n):
         raise ParameterError("requires 1 <= l < n")
-    z = Fraction(l, n)
 
-    def terms():
-        power = Fraction(1)  # z^k / k!
+    def steps():
+        f = lambda j: n * (j + 1) - l
+        lead = 1  # l^k f(0)...f(k-1)
+        factor = f(0) * f(1)  # D_0
         k = 0
         while True:
-            t = power * (Fraction(l * n, n * (k + 2) - l) + Fraction(n * (n - l), n * (k + 1) - l))
-            yield t, t * l / (n * (k + 1) - l)
+            yield factor, lead * (l * n * f(k) + n * (n - l) * f(k + 1)), (l, f(k))
+            lead *= l * f(k)
             k += 1
-            power = power * z / k
+            factor = n * k * f(k + 1)
 
-    return _certified_sum(terms(), digits)
+    return _certified_sum(steps(), digits)

@@ -29,7 +29,7 @@ from cfx.identities import (
     rate_constant,
     run_suite,
 )
-from cfx.kernel import ComplexParam, ParameterError, pochhammer
+from cfx.kernel import ComplexParam, ParameterError, factorial, pochhammer, to_mp
 from cfx.oracle import exp_series
 
 
@@ -177,6 +177,53 @@ def test_difference_formula_telescopes():
         assert total == convs[30].value
 
 
+def test_difference_rows_match_closed_form():
+    for n in range(1, 7):
+        rows = list(identities.difference_rows(n, 60))
+        assert [k for k, *_ in rows] == list(range(1, 61))
+        assert all(formula == difference_formula(n, k) for k, _, formula, _ in rows)
+
+
+def reference_rate(n, k_max, digits=40, big_o_constant=None):
+    """The rate-bound report with (n)_{k+2} recomputed by kernel.pochhammer per k."""
+    a = rate_constant(n) if big_o_constant is None else big_o_constant
+    convs = convergents(make_exp_n(n), k_max)
+    algebra_ok = all(
+        (k + 1) * (k + 2) * pochhammer(1, k + 2) == factorial(k) * (k + 1) ** 2 * (k + 2) ** 2
+        for k in range(1, k_max + 1)
+    )
+    eff_digits = digits + 2 * k_max + 30
+    with mp.workdps(eff_digits + 15):
+        target = exp_series(n, eff_digits).value
+        ratios = []
+        for k in range(1, k_max + 1):
+            err = abs(target - to_mp(convs[k].value))
+            bound = mpf(n) ** (k + 1) / ((k + 1) * (k + 2) * pochhammer(mpf(n), k + 2))
+            ratios.append((err / bound, err > to_mp(a) * bound))
+        max_ratio = max(mpf(0), *(r for r, _ in ratios))
+        offending = next((k for k, (_, over) in enumerate(ratios, 1) if over), None)
+    passed = offending is None and algebra_ok
+    return VerificationReport(
+        claim_id="rate",
+        params={"n": n, "k_max": k_max, "A": str(a)},
+        expected=f"|e^n - C_k| <= {a} * n^(k+1)/((k+1)(k+2)(n)_(k+2))",
+        actual=(
+            f"max observed ratio {mp.nstr(max_ratio, 6)}"
+            if passed
+            else f"bound violated at k={offending}" if offending is not None else "algebraic identity failed"
+        ),
+        passed=passed,
+        witness={"max_ratio": mp.nstr(max_ratio, 8), "algebra_ok": algebra_ok},
+    )
+
+
+@pytest.mark.parametrize("big_o_constant", [None, 10])
+def test_rate_bound_matches_pochhammer_reference(big_o_constant):
+    for n in range(1, 5):
+        report = check_rate_bound(n, 40, big_o_constant=big_o_constant)
+        assert report == reference_rate(n, 40, big_o_constant=big_o_constant)
+
+
 def test_rate_bound_with_suite_constant():
     for n in (1, 2, 3):
         assert check_rate_bound(n, 30).passed
@@ -254,6 +301,26 @@ def test_thm41_sees_a_wrong_exp_series_at_200_digits(monkeypatch):
     monkeypatch.setattr(oracle, "exp_series", off)
     reports = run_suite(["thm41"], max_n=3, digits=200)
     assert len(reports) == 3 and not any(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("claim_id, check", [
+    ("thm41", lambda l, n, digits: check_thm41(l, n, digits=digits)),
+    ("integrals", lambda l, n, digits: check_rational_integral(l, n, digits)),
+])
+def test_grid_sums_each_reduced_ratio_once(monkeypatch, claim_id, check):
+    # 2/4, 3/6, 2/6 and 4/6 reduce to ratios seen before in the (l, n) grid.
+    alone = {repr(check(l, n, 30)) for n in range(2, 7) for l in range(1, n)}
+    summed = []
+    exact = oracle.exp_series
+
+    def counted(x, digits):
+        summed.append((Fraction(x), digits))
+        return exact(x, digits)
+
+    monkeypatch.setattr(oracle, "exp_series", counted)
+    reports = [r for r in run_suite([claim_id], max_n=6, digits=30) if "l" in r.params]
+    assert {repr(r) for r in reports} == alone and len(reports) == 15
+    assert len(summed) == len(set(summed)) == 11
 
 
 def test_thm41_passes():

@@ -159,6 +159,48 @@ def test_integral_series_within_tail_bound_of_quadrature(series, quadrature, arg
     assert result.tail_bound * 10**50 < result.value
 
 
+def _reference_certified_sum(terms, digits):
+    """The stopping rule on reduced Fractions: terms yields (t_k, tail bound)."""
+    total = Fraction(0)
+    for k, (term, tail) in enumerate(terms):
+        total += term
+        if tail * 10**digits < total:
+            return total, k + 1, tail
+
+
+def _reference_beta(n, digits):
+    def terms():
+        t, k = Fraction(1, n), 0
+        while True:
+            yield t, t * n / (k + 1)
+            k += 1
+            t = t * n / (n + k)
+
+    return _reference_certified_sum(terms(), digits)
+
+
+def _reference_rational(l, n, digits):
+    def terms():
+        power, k = Fraction(1), 0
+        while True:
+            t = power * (Fraction(l * n, n * (k + 2) - l) + Fraction(n * (n - l), n * (k + 1) - l))
+            yield t, t * l / (n * (k + 1) - l)
+            k += 1
+            power = power * Fraction(l, n) / k
+
+    return _reference_certified_sum(terms(), digits)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 25, 200])
+def test_integral_series_match_fraction_reference(digits):
+    for n in range(1, 13):
+        r = beta_exp_integral(n, digits)
+        assert (r.value, r.terms_used, r.tail_bound) == _reference_beta(n, digits)
+        for l in range(1, n):
+            r = exp_rational_integral(l, n, digits)
+            assert (r.value, r.terms_used, r.tail_bound) == _reference_rational(l, n, digits)
+
+
 def test_integral_series_stop_at_requested_digits():
     for digits in (10, 40, 200):
         beta = beta_exp_integral(4, digits)
