@@ -5,15 +5,10 @@ of their closed-form identities."""
 from .engine import (
     CoefficientRule,
     Convergent,
-    ConvergentState,
     ExpansionSpec,
     TailSequence,
     convergents,
-    equivalence_transform,
     estimate_limit,
-    euler_wallis_step,
-    iter_convergents,
-    successive_difference,
     unshift_first_step,
     waadeland_limit,
 )

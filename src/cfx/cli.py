@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 import time
@@ -113,14 +114,10 @@ def cmd_convergents(args) -> tuple[dict, int]:
 def cmd_eval(args) -> tuple[dict, int]:
     params, (spec,) = _spec_params(args, [args.expansion])
     value, depth = engine.estimate_limit(spec, args.digits)
-    oracle_delta, status = None, EXIT_OK
-    oracle = families.FAMILIES[args.expansion].oracle
-    if oracle is not None:
-        with mp.workdps(args.digits + 15):
-            target = oracle(params, args.digits)
-            oracle_delta = mp.nstr(abs(to_mp(value) - target), 5)
-        if not agrees(value, target, args.digits - 2):
-            status = EXIT_VERIFY_FAIL
+    with mp.workdps(args.digits + 15):
+        target = families.FAMILIES[args.expansion].oracle(params, args.digits)
+        oracle_delta = mp.nstr(abs(to_mp(value) - target), 5)
+    status = EXIT_OK if agrees(value, target, args.digits - 2) else EXIT_VERIFY_FAIL
     rows = [
         {
             "value": decimal_str(value, args.digits),
@@ -190,11 +187,8 @@ def cmd_compare(args) -> tuple[dict, int]:
             v = convs[k].value
             row[s.name] = "singular" if v is None else str(v)
         rows.append(row)
-    matrix = {}
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            _, idx = families.same_convergents(specs[i], specs[j], args.depth)
-            matrix[f"{specs[i].name}|{specs[j].name}"] = idx
+    matrix = {f"{a.name}|{b.name}": families.first_differing_index(table_a, table_b)
+              for (a, table_a), (b, table_b) in itertools.combinations(zip(specs, conv_lists), 2)}
     limits = [engine.estimate_limit(s, args.digits)[0] for s in specs]
     agree = all(agrees(limits[0], v, args.digits - 2) for v in limits[1:])
     record = _record(

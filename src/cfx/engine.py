@@ -15,8 +15,8 @@ Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
 and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
 Gaussian integer is a (re, im) pair of ints in local variables; while every
 imaginary part is zero, the step is the real one on ints alone.
-:func:`iter_convergents` divides the scale back out and forms the Fractions
-and ComplexParams, so tables show the raw P_k, Q_k of the fraction as given:
+:func:`convergents` divides the scale back out and forms the Fractions and
+ComplexParams, so tables show the raw P_k, Q_k of the fraction as given:
 closed forms for denominators refer to them, while reduced values match
 printed convergent tables.  :func:`estimate_limit` works on the pairs and
 reduces only at return.  Its stopping test rests on the determinant identity
@@ -220,24 +220,17 @@ def _unscaled(re: int, im: int, s: int, cplx: bool) -> Scalar:
     return ComplexParam(Fraction(re, s), Fraction(im, s))
 
 
-def iter_convergents(spec: ExpansionSpec) -> Iterator[Convergent]:
-    """Yield convergents 0, 1, 2, ... of ``spec`` indefinitely."""
-    for k, pr, pi, qr, qi, _, s, cplx in _raw_convergents(spec):
-        nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
-        singular = not (qr or qi) or not (dr or di)
-        value = None if singular else _quotient(nr, ni, dr, di, cplx)
-        yield Convergent(k, _unscaled(pr, pi, s, cplx), _unscaled(qr, qi, s, cplx), value)
-
-
 def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
     """Convergents 0..depth (inclusive)."""
     if depth < 0:
         raise ParameterError("depth must be >= 0")
     out = []
-    for conv in iter_convergents(spec):
-        out.append(conv)
-        if conv.k == depth:
-            return out
+    for k, pr, pi, qr, qi, _, s, cplx in itertools.islice(_raw_convergents(spec), depth + 1):
+        nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
+        singular = not (qr or qi) or not (dr or di)
+        value = None if singular else _quotient(nr, ni, dr, di, cplx)
+        out.append(Convergent(k, _unscaled(pr, pi, s, cplx), _unscaled(qr, qi, s, cplx), value))
+    return out
 
 
 def successive_difference(spec: ExpansionSpec, k: int) -> Scalar:

@@ -33,7 +33,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle
-from .engine import CoefficientRule, ExpansionSpec, convergents, mobius
+from .engine import (
+    CoefficientRule,
+    Convergent,
+    ExpansionSpec,
+    convergents,
+    mobius,
+    waadeland_limit,
+)
 from .kernel import ComplexParam, ParameterError, cut_plane_point, factorial, gaussian
 
 def make_e_euler() -> ExpansionSpec:
@@ -224,14 +231,14 @@ class Family:
     ``label(params)`` names the constant the family converges to: families
     with equal labels have equal limits.  ``oracle(params, digits)`` is an
     independent series value of that constant at the ambient mpmath
-    precision, or None where the library has none.
+    precision.
     """
 
     id: str
     params: tuple[str, ...]
     build: Callable[..., ExpansionSpec]
     label: Callable[[dict], str]
-    oracle: Optional[Callable[[dict, int], object]] = None
+    oracle: Callable[[dict, int], object]
 
 
 def _exp(exponent: Callable[[dict], "int | Fraction"]) -> dict:
@@ -273,7 +280,11 @@ _CLASSICAL = (
 FAMILIES = {family.id: family for family in (
     Family("e-euler", (), make_e_euler, **_E),
     Family("exp-n", ("n",), make_exp_n, **_exp(lambda p: p["n"])),
-    Family("exp-n-shifted", ("n",), make_exp_n_shifted, lambda p: f"shifted({p['n']})"),
+    # The Waadeland value from the tail's first term t_0 = -2(n+1) and
+    # Lemma 2.3's tail-product sum Sigma_inf = 2F2(1,1;3,n+2;n).
+    Family("exp-n-shifted", ("n",), make_exp_n_shifted, lambda p: f"shifted({p['n']})",
+           lambda p, digits: waadeland_limit(shifted_tail(p["n"])(0), oracle.hyp_2f2(
+               1, 1, 3, p["n"] + 2, p["n"], digits).value)),
     Family("inc-gamma", ("z",), make_inc_gamma, **_DIAG),
     Family("confluent-1f1", ("z",), make_confluent_1f1, **_DIAG),
     Family("m-fraction", ("b", "z"), make_m_fraction, lambda p: f"1f1(b={p['b']})",
@@ -306,6 +317,12 @@ def make_classical(family_id: str, **params) -> ExpansionSpec:
     return make_family(family_id, **params)
 
 
+def first_differing_index(table_a: list[Convergent], table_b: list[Convergent]) -> Optional[int]:
+    """The first k at which two convergent tables differ in reduced value,
+    exactly, or None if they agree at every k both hold."""
+    return next((a.k for a, b in zip(table_a, table_b) if a.value != b.value), None)
+
+
 def same_convergents(
     spec_a: ExpansionSpec,
     spec_b: ExpansionSpec,
@@ -315,9 +332,5 @@ def same_convergents(
 
     Returns (True, None) on full agreement, else (False, first_index).
     """
-    ca = convergents(spec_a, depth)
-    cb = convergents(spec_b, depth)
-    for k in range(depth + 1):
-        if ca[k].value != cb[k].value:
-            return False, k
-    return True, None
+    k = first_differing_index(convergents(spec_a, depth), convergents(spec_b, depth))
+    return k is None, k

@@ -25,6 +25,7 @@ from mpmath import mp, mpf
 
 from .engine import convergents, estimate_limit
 from .families import (
+    first_differing_index,
     make_classical,
     make_confluent_1f1,
     make_e_euler,
@@ -32,7 +33,6 @@ from .families import (
     make_inc_gamma,
     make_m_fraction_diagonal,
     make_rat_exp,
-    same_convergents,
 )
 from .kernel import ComplexParam, ParameterError, agrees, factorial, pochhammer, to_mp
 from . import oracle
@@ -399,33 +399,32 @@ def check_beta_integral(n: int, digits: int = 25) -> VerificationReport:
                               shown=20, cf_depth=depth, tail_bound=mp.nstr(to_mp(series.tail_bound), 5))
 
 
-def check_nonequivalence(depth: int = 10, digits: int = 25) -> VerificationReport:
-    """All e-expansions differ pairwise as sequences; so do the two
-    1F1 expansions at z = 1.  Limits of each group agree to ``digits``."""
-    e_specs = [
-        make_e_euler(),
-        make_classical("e-regular"),
-        make_classical("e-over"),
-        make_classical("e-sporadic"),
-    ]
-    pair_results = {}
-    all_differ = True
-    for i in range(len(e_specs)):
-        for j in range(i + 1, len(e_specs)):
-            same, idx = same_convergents(e_specs[i], e_specs[j], depth)
-            pair_results[f"{e_specs[i].name} vs {e_specs[j].name}"] = idx
-            all_differ &= not same
-    f1, f2 = make_confluent_1f1(1), make_m_fraction_diagonal(1)
-    same, idx = same_convergents(f1, f2, depth)
-    pair_results[f"{f1.name} vs {f2.name}"] = idx
-    all_differ &= not same
+# The nonequiv claim compares convergents at depths 0..NONEQUIV_DEPTH and
+# limits to NONEQUIV_DIGITS digits, whatever the suite's grid.
+NONEQUIV_DEPTH = 10
+NONEQUIV_DIGITS = 25
 
-    e_limits = [estimate_limit(s, digits + 3)[0] for s in e_specs]
-    f_limits = [estimate_limit(s, digits + 3)[0] for s in (f1, f2)]
-    limits_ok = all(agrees(e_limits[0], v, digits) for v in e_limits[1:]) and agrees(*f_limits, digits)
+
+def check_nonequivalence() -> VerificationReport:
+    """All e-expansions differ pairwise as sequences; so do the two
+    1F1 expansions at z = 1.  Limits of each group agree to NONEQUIV_DIGITS
+    digits."""
+    groups = (
+        [make_e_euler(), *(make_classical(fid) for fid in ("e-regular", "e-over", "e-sporadic"))],
+        [make_confluent_1f1(1), make_m_fraction_diagonal(1)],
+    )
+    pair_results = {}
+    limits_ok = True
+    for specs in groups:
+        tables = [convergents(s, NONEQUIV_DEPTH) for s in specs]
+        for (a, table_a), (b, table_b) in itertools.combinations(zip(specs, tables), 2):
+            pair_results[f"{a.name} vs {b.name}"] = first_differing_index(table_a, table_b)
+        limits = [estimate_limit(s, NONEQUIV_DIGITS + 3)[0] for s in specs]
+        limits_ok &= all(agrees(limits[0], v, NONEQUIV_DIGITS) for v in limits[1:])
+    all_differ = None not in pair_results.values()
     return VerificationReport(
         claim_id="nonequiv",
-        params={"depth": depth, "digits": digits},
+        params={"depth": NONEQUIV_DEPTH, "digits": NONEQUIV_DIGITS},
         expected="every pair differs; limits agree",
         actual="ok" if all_differ and limits_ok else f"differ={all_differ}, limits={limits_ok}",
         passed=all_differ and limits_ok,
@@ -440,16 +439,14 @@ class Claim:
     ``grid(max_n, k_max, digits, agree)`` yields the claim's reports over its
     parameter grid.  A claim checked against an oracle to a tolerance checks
     ``agree = digits - margin`` digits, however large ``digits`` is; an
-    exact claim has ``margin = None`` and gets ``agree = None``.  ``depth_cap``
-    bounds the ``k_max`` the grid gets.  ``min_n`` is the smallest ``max_n``
-    the claim accepts: 1, as on the command line, or 2 for a grid over
-    (l, n), which yields no report below it.
+    exact claim has ``margin = None`` and gets ``agree = None``.  ``min_n`` is
+    the smallest ``max_n`` the claim accepts: 1, as on the command line, or 2
+    for a grid over (l, n), which yields no report below it.
     """
 
     id: str
     grid: Callable[[int, int, int, Optional[int]], Iterable[VerificationReport]]
     margin: Optional[int] = None
-    depth_cap: Optional[int] = None
     min_n: int = 1
 
     def agree(self, digits: int) -> Optional[int]:
@@ -486,8 +483,9 @@ CLAIMS = {claim.id: claim for claim in (
         check_q_closed_form(n, k_max) for n in range(1, max_n + 1))),
     Claim("diff", lambda max_n, k_max, digits, agree: (
         check_difference_formula(n, k_max) for n in range(1, max_n + 1))),
+    # The rate oracle sums to digits + 2 k_max + 30 digits: the grid stops at depth 40.
     Claim("rate", lambda max_n, k_max, digits, agree: (
-        check_rate_bound(n, k_max, digits) for n in range(1, max_n + 1)), depth_cap=40),
+        check_rate_bound(n, min(k_max, 40), digits) for n in range(1, max_n + 1))),
     Claim("lemma23", lambda max_n, k_max, digits, agree: (
         check_lemma23(z, digits, agree=agree) for z in CUT_PLANE_SAMPLES), margin=5),
     Claim("lemma42", lambda max_n, k_max, digits, agree: (
@@ -535,7 +533,6 @@ def run_suite(
             )
     reports: list[VerificationReport] = []
     for claim in claims:
-        depth = k_max if claim.depth_cap is None else min(k_max, claim.depth_cap)
-        reports.extend(claim.grid(max_n, depth, digits, claim.agree(digits)))
+        reports.extend(claim.grid(max_n, k_max, digits, claim.agree(digits)))
     reports.sort(key=lambda r: (r.claim_id, sorted(r.params.items(), key=str).__repr__()))
     return reports

@@ -94,6 +94,27 @@ def test_eval_oracle_disagreement_exit_1(capsys, monkeypatch):
     assert mpf(row["oracle_delta"]) > mpf("1e-5")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 30])
+def test_eval_exp_n_shifted_checked_by_oracle(capsys, n):
+    for digits in (3, 5, 20, 40, 80, 200):
+        status, out, _ = run_cli(capsys, "eval", "--expansion", "exp-n-shifted", "--n", str(n),
+                                 "--digits", str(digits), "--format", "json")
+        assert status == 0, (n, digits)
+        assert json.loads(out)["rows"][0]["oracle_delta"] is not None
+
+
+def test_eval_exp_n_shifted_oracle_disagreement_exit_1(capsys, monkeypatch):
+    family = families.FAMILIES["exp-n-shifted"]
+    off = dataclasses.replace(
+        family, oracle=lambda params, digits: family.oracle(params, digits) * (1 + mpf("1e-5"))
+    )
+    monkeypatch.setitem(families.FAMILIES, "exp-n-shifted", off)
+    status, out, _ = run_cli(capsys, "eval", "--expansion", "exp-n-shifted", "--n", "2",
+                             "--digits", "30", "--format", "json")
+    assert status == 1
+    assert mpf(json.loads(out)["rows"][0]["oracle_delta"]) > mpf("1e-6")
+
+
 def test_eval_large_negative_z_oracle_confirms(capsys):
     status, out, _ = run_cli(
         capsys, "eval", "--expansion", "m-fraction", "--b", "1", "--z", "-200",
@@ -330,6 +351,16 @@ def test_python_m_cfx_matches_in_process_main(capsys):
     assert done.returncode == 0
     _, out, _ = run_cli(capsys, *argv)
     assert done.stdout == out
+
+
+def test_benchmark_selftest_exit_0():
+    # benchmarks/tracing.py wraps cfx's public functions by name, so a renamed
+    # or dropped name breaks a traced run; the self-test runs every workload
+    # with tracing off and on.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 def test_convergents_complex_parameter_exact(capsys):

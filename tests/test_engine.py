@@ -61,6 +61,19 @@ def test_convergents_exp2_limit_close_to_e_squared():
         assert abs(v - target) < mpf(10) ** -30
 
 
+def test_package_root_exports_no_test_only_helper():
+    import cfx
+    from cfx import engine
+
+    for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
+                 "successive_difference", "iter_convergents"):
+        assert not hasattr(cfx, name), name
+    for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
+                 "successive_difference"):
+        assert hasattr(engine, name), name
+    assert not hasattr(engine, "iter_convergents")
+
+
 def test_euler_wallis_step_first_two():
     state = ConvergentState.initial(3)
     state = euler_wallis_step(state, -1, 4)

@@ -5,10 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cfx.engine import convergents, estimate_limit, mobius
+from cfx.engine import convergents, estimate_limit, mobius, waadeland_limit
 from cfx.families import (
     FAMILIES,
     FAMILY_IDS,
+    first_differing_index,
     make_classical,
     make_confluent_1f1,
     make_e_euler,
@@ -25,11 +26,12 @@ from cfx.kernel import (
     ComplexParam,
     DomainError,
     ParameterError,
+    agrees,
     arg_in_cut_plane,
     factorial,
     to_mp,
 )
-from cfx.oracle import exp_series, hyp_1f1, inc_gamma_normalized
+from cfx.oracle import exp_series, hyp_1f1, inc_gamma_normalized, sigma_partial
 
 
 def _limit_close(spec, target, digits=25):
@@ -317,9 +319,38 @@ def test_registry_entry_builds_labels_and_matches_oracle(family):
     spec = make_family(family.id, **params)
     label = family.label(params)
     assert isinstance(label, str) and label
-    if family.oracle is None:
-        return
     value, _ = estimate_limit(spec, 30)
     with mp.workdps(45):
         target = family.oracle(params, 30)
         assert abs(to_mp(value) - target) <= mpf(10) ** -28 * max(1, abs(target))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exp_n_shifted_oracle_matches_exact_tail_product_sum(n):
+    # A second witness for Lemma 2.3's 2F2: the exact partial sum of the tail
+    # products, which omits less than 10^-60 at 80 terms for n <= 8.
+    exact = waadeland_limit(-2 * (n + 1), sigma_partial(n, 80))
+    with mp.workdps(55):
+        assert agrees(FAMILIES["exp-n-shifted"].oracle({"n": n}, 40), exact, 38)
+
+
+_E_IDS = ("e-euler", "e-regular", "e-over", "e-sporadic")
+_DIAG_IDS = ("inc-gamma", "confluent-1f1", "m-fraction-diagonal")
+
+
+@pytest.mark.parametrize("ids, params, depth", [
+    *((_E_IDS, {}, depth) for depth in range(5, 21)),
+    (_DIAG_IDS, {"z": ComplexParam(1, 1)}, 12),
+    (_DIAG_IDS, {"z": ComplexParam(-1, 2)}, 12),
+])
+def test_first_differing_index_matches_same_convergents(ids, params, depth):
+    specs = [make_family(fid, **params) for fid in ids]
+    tables = [convergents(spec, depth) for spec in specs]
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            idx = first_differing_index(tables[i], tables[j])
+            # The index-by-index loop same_convergents ran on its own tables.
+            assert idx == next((k for k in range(depth + 1)
+                                if tables[i][k].value != tables[j][k].value), None)
+            assert same_convergents(specs[i], specs[j], depth) == (idx is None, idx)
+    assert first_differing_index(tables[0], tables[0]) is None

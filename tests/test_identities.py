@@ -1,12 +1,20 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from cfx import identities, oracle
-from cfx.engine import convergents
-from cfx.families import make_exp_n
+from cfx.engine import convergents, estimate_limit
+from cfx.families import (
+    make_classical,
+    make_confluent_1f1,
+    make_e_euler,
+    make_exp_n,
+    make_m_fraction_diagonal,
+    same_convergents,
+)
 from cfx.identities import (
     VerificationReport,
     CLAIMS,
@@ -29,7 +37,7 @@ from cfx.identities import (
     rate_constant,
     run_suite,
 )
-from cfx.kernel import ComplexParam, ParameterError, factorial, pochhammer, to_mp
+from cfx.kernel import ComplexParam, ParameterError, agrees, factorial, pochhammer, to_mp
 from cfx.oracle import exp_series
 
 
@@ -387,6 +395,31 @@ def test_nonequivalence_passes():
     assert report.passed
     # Every pair records a concrete first differing index.
     assert all(idx is not None for idx in report.witness["first_differing_index"].values())
+
+
+def test_nonequivalence_matches_same_convergents_reference():
+    # The report as built pair by pair from same_convergents, each pair's
+    # tables rebuilt, and from each group's limits to 25 digits.
+    e_specs = [make_e_euler(),
+               *(make_classical(fid) for fid in ("e-regular", "e-over", "e-sporadic"))]
+    groups = (e_specs, [make_confluent_1f1(1), make_m_fraction_diagonal(1)])
+    witness, all_differ, limits_ok = {}, True, True
+    for specs in groups:
+        for a, b in itertools.combinations(specs, 2):
+            same, idx = same_convergents(a, b, 10)
+            witness[f"{a.name} vs {b.name}"] = idx
+            all_differ &= not same
+        limits = [estimate_limit(spec, 28)[0] for spec in specs]
+        limits_ok &= all(agrees(limits[0], v, 25) for v in limits[1:])
+    assert all_differ and limits_ok
+    reference = VerificationReport(
+        claim_id="nonequiv", params={"depth": 10, "digits": 25},
+        expected="every pair differs; limits agree", actual="ok", passed=True,
+        witness={"first_differing_index": witness},
+    )
+    report = check_nonequivalence()
+    assert report == reference
+    assert list(report.witness["first_differing_index"]) == list(witness)
 
 
 def test_run_suite_empty_selection():
