@@ -25,7 +25,6 @@ from .families import (
     make_m_fraction,
     make_m_fraction_diagonal,
     make_rat_exp,
-    same_convergents,
 )
 from .identities import SUITE_IDS, VerificationReport, run_suite
 from .kernel import (

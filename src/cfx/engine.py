@@ -15,10 +15,11 @@ Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
 and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
 Gaussian integer is a (re, im) pair of ints in local variables; while every
 imaginary part is zero, the step is the real one on ints alone.
-:func:`convergents` divides the scale back out and forms the Fractions and
-ComplexParams, so tables show the raw P_k, Q_k of the fraction as given:
-closed forms for denominators refer to them, while reduced values match
-printed convergent tables.  :func:`estimate_limit` works on the pairs and
+:func:`convergents` divides the scale back out, so tables show the raw P_k,
+Q_k of the fraction as given: closed forms for denominators refer to them,
+while reduced values match printed convergent tables.  A value whose cleared
+form has a nonzero imaginary part is a ComplexParam, and every other value an
+int or a Fraction.  :func:`estimate_limit` works on the pairs and
 reduces only at return.  Its stopping test rests on the determinant identity
 P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k: a float sum of the
 log2 |a_k|^2 bounds the step from below, so on the steps where raw bit
@@ -136,7 +137,7 @@ class Convergent:
 
 
 def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
-    """Yield (k, Re P'_k, Im P'_k, Re Q'_k, Im Q'_k, |a'_k|^2, s_k, complex_k)
+    """Yield (k, Re P'_k, Im P'_k, Re Q'_k, Im Q'_k, |a'_k|^2, s_k)
     for k = 0, 1, ...: the Euler-Wallis recurrence of the equivalent fraction
     whose head and coefficients are ints or Gaussian integers, stepped on
     (re, im) int pairs.
@@ -148,27 +149,22 @@ def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
     Q'_k = s_k Q_k with the running scale s_k = s_0 r_1...r_k, and a'_0 = s_0^2
     makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  For int coefficients every r_m
     is 1.  Until an imaginary part turns up, the step is the real one on ints
-    alone.  ``complex_k`` is true once the head or a coefficient up to a_k,
-    b_k is a ComplexParam: the raw values and convergents at k are
-    ComplexParams then, as arithmetic in that type would give them.  A
-    spec with no rule has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every
-    step is zero."""
+    alone.  A spec with no rule has P_k = head, Q_k = 1 and a_k = 0 for
+    k >= 1: every step is zero."""
     pr, pi, s = gaussian(spec.head)
-    cplx = isinstance(spec.head, ComplexParam)
     if spec.rule is None:
-        yield from ((k, pr, pi, s, 0, 0 if k else s**4, s, cplx) for k in itertools.count())
+        yield from ((k, pr, pi, s, 0, 0 if k else s**4, s) for k in itertools.count())
     rule = spec.rule
     real = not pi
     ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
     a2, r_prev, k = s**4, 1, 0
     while True:
-        yield k, pr, pi, qr, qi, a2, s, cplx
+        yield k, pr, pi, qr, qi, a2, s
         k += 1
         a, b = rule.a(k), rule.b(k)
         if type(a) is int and type(b) is int:
             ar, ai, br, bi, r = a, 0, b, 0, 1
         else:
-            cplx = cplx or isinstance(a, ComplexParam) or isinstance(b, ComplexParam)
             (ar, ai, da), (br, bi, db) = gaussian(a), gaussian(b)
             r = math.lcm(da, db)
             if r != 1:
@@ -201,19 +197,20 @@ def _image(m: tuple, pr: int, pi: int, qr: int, qi: int) -> tuple[int, int, int,
             gamma * pr + delta * qr, gamma * pi + delta * qi)
 
 
-def _quotient(nr: int, ni: int, dr: int, di: int, cplx: bool) -> Scalar:
-    """Exact (nr + i ni)/(dr + i di): a reduced Fraction, or a ComplexParam
-    with Fraction parts when ``cplx``."""
-    if not cplx:
+def _quotient(nr: int, ni: int, dr: int, di: int) -> Scalar:
+    """Exact (nr + i ni)/(dr + i di): a reduced Fraction when ni and di are 0,
+    else a ComplexParam with Fraction parts."""
+    if not (ni or di):
         return Fraction(nr, dr)
     n2 = dr * dr + di * di
     return ComplexParam(Fraction(nr * dr + ni * di, n2), Fraction(ni * dr - nr * di, n2))
 
 
-def _unscaled(re: int, im: int, s: int, cplx: bool) -> Scalar:
+def _unscaled(re: int, im: int, s: int) -> Scalar:
     """(re + i im)/s: the raw P_k or Q_k of the fraction as given, from its
-    cleared value and the running scale s."""
-    if not cplx:
+    cleared value and the running scale s; an int or a Fraction when im is 0,
+    else a ComplexParam."""
+    if not im:
         return re if s == 1 else Fraction(re, s)
     if s == 1:
         return ComplexParam(re, im)
@@ -225,11 +222,11 @@ def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
     if depth < 0:
         raise ParameterError("depth must be >= 0")
     out = []
-    for k, pr, pi, qr, qi, _, s, cplx in itertools.islice(_raw_convergents(spec), depth + 1):
+    for k, pr, pi, qr, qi, _, s in itertools.islice(_raw_convergents(spec), depth + 1):
         nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
         singular = not (qr or qi) or not (dr or di)
-        value = None if singular else _quotient(nr, ni, dr, di, cplx)
-        out.append(Convergent(k, _unscaled(pr, pi, s, cplx), _unscaled(qr, qi, s, cplx), value))
+        value = None if singular else _quotient(nr, ni, dr, di)
+        out.append(Convergent(k, _unscaled(pr, pi, s), _unscaled(qr, qi, s), value))
     return out
 
 
@@ -331,8 +328,9 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       imaginary part is zero.  A zero det M or a'_j (a spec with no
       rule) makes log_step -inf and every nonsingular step small.
 
-    Returns the reduced Fraction of a real limit; a non-real limit is rounded
-    once to an mpc at target_digits + max(10, target_digits // 4) digits.
+    Returns the reduced Fraction when the image's cleared imaginary parts are
+    zero; otherwise the limit is rounded once, to an mpc when it is non-real,
+    at target_digits + max(10, target_digits // 4) digits.
     """
     cap = depth_cap()
     scale = 10**target_digits
@@ -347,7 +345,7 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     prev, prev_in = (-1, 1, 0, 0, 0), False  # raw k-1: P_{-1} = 1, Q_{-1} = 0 is singular
     small_streak = 0
     for raw in _raw_convergents(spec):
-        k, pr, pi, qr, qi, a2, _, cplx = raw
+        k, pr, pi, qr, qi, a2, _ = raw
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
         log_step += math.log2(a2) if a2 else -math.inf
@@ -386,8 +384,8 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
         if small_streak >= 2:
             break
         prev, prev_in = raw, cur_in
-    value = _quotient(nr, ni, dr, di, cplx)
-    if not cplx:
+    value = _quotient(nr, ni, dr, di)
+    if not isinstance(value, ComplexParam):
         return value, k
     with mp.workdps(target_digits + max(10, target_digits // 4)):
         return value.to_mp(), k

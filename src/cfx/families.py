@@ -4,11 +4,12 @@ converges to and an independent oracle for that constant.
 
 Every family runs in one exact ring, so identity checks against them are
 exact equalities.  A free complex parameter is stored exactly (as
-:class:`ComplexParam`).  The coefficient rules of the complex-parameter
-families take it once, at build time, in the integer form (p + iq)/d of
-:func:`~cfx.kernel.gaussian`: each coefficient's numerators are computed in
-ints and reduced once, to a Fraction when every parameter is real, else to a
-ComplexParam with one Fraction per part.  Finishers are Moebius matrices
+:class:`ComplexParam`).  Every partial numerator and denominator of the
+complex-parameter families is linear in m, and :func:`_linear` builds each
+such rule from the paper's formula: it takes the two coefficients once, at
+build time, in the integer form (p + iq)/d of :func:`~cfx.kernel.gaussian`,
+and reduces each value once, to a Fraction when every parameter is real, else
+to a ComplexParam with one Fraction per part.  Finishers are Moebius matrices
 (:func:`~cfx.engine.mobius`).
 
 The rational-exponent family deserves a note.  The printed closed form for
@@ -83,33 +84,29 @@ def shifted_tail(n: int):
     return lambda j: Fraction(-(j + n + 1) * (j + 2), j + 1)
 
 
-def _rational(re: int, im: int, d: int, cplx: bool):
-    """(re + i im)/d in lowest terms, one Fraction per part: a ComplexParam
-    when ``cplx``, else (im is 0) a Fraction."""
-    return ComplexParam(Fraction(re, d), Fraction(im, d)) if cplx else Fraction(re, d)
+def _linear(alpha, beta):
+    """The rule m -> alpha + beta m for int, Fraction or ComplexParam alpha
+    and beta, taken once over one denominator d as (p + iq)/d.  Each value is
+    one reduced Fraction per part: a ComplexParam exactly when alpha or beta
+    is one, as ComplexParam arithmetic would give it, else a Fraction."""
+    (pa, qa, da), (pb, qb, db) = gaussian(alpha), gaussian(beta)
+    d = math.lcm(da, db)
+    pa, qa, pb, qb = pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)
+    if not (isinstance(alpha, ComplexParam) or isinstance(beta, ComplexParam)):
+        return lambda m: Fraction(pa + pb * m, d)
+    if not qb:
+        im = Fraction(qa, d)
+        return lambda m: ComplexParam(Fraction(pa + pb * m, d), im)
+    return lambda m: ComplexParam(Fraction(pa + pb * m, d), Fraction(qa + qb * m, d))
 
 
 def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
-    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1)).
-
-    With z = (p + iq)/d and u = (m-1)d + p, the rules are computed in ints:
-    a_m = (q^2 - pu - iq(u+p))/d^2 and b_m = ((m+1)d + 2p + 2iq)/d."""
-    p, q, d = gaussian(z)
-    cplx, d2, q2 = not z.is_real, d * d, q * q
-    b_im = Fraction(2 * q, d)
-
-    def a(m: int):
-        u = (m - 1) * d + p
-        return _rational(q2 - p * u, -q * (u + p), d2, cplx)
-
-    def b(m: int):
-        re = Fraction((m + 1) * d + 2 * p, d)
-        return ComplexParam(re, b_im) if cplx else re
-
+    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1))."""
+    z = z.value
     return ExpansionSpec(
         name=name,
-        head=_rational(d + p, q, d, cplx),
-        rule=CoefficientRule(a=a, b=b),
+        head=1 + z,
+        rule=CoefficientRule(a=_linear(-z * (z - 1), -z), b=_linear(2 * z + 1, 1)),
     )
 
 
@@ -134,28 +131,15 @@ def make_m_fraction(b, z) -> ExpansionSpec:
     """
     b = ComplexParam.coerce(b)
     z = ComplexParam.coerce(z)
-    if b.is_real and b.re <= 0 and b.re.denominator == 1:
+    if b.is_nonpositive_integer:
         raise ParameterError(f"b = {b} is a non-positive integer")
     if z == 0:
         # 1F1(1; b+1; 0) = 1: no K terms remain.
         return ExpansionSpec(name=f"m-fraction(b={b},z=0)", head=1, rule=None)
-    # With b = (pb + i qb)/db and z = (p + iq)/d over D = lcm(db, d):
-    # a_m = (m-1)(p + iq)/d for m >= 2, and b_m = (c + (m-1)D + ie)/D.
-    (pb, qb, db), (p, q, d) = gaussian(b), gaussian(z)
-    cplx_z, cplx = not z.is_real, not (b.is_real and z.is_real)
-    D = math.lcm(db, d)
-    c, e = pb * (D // db) - p * (D // d), qb * (D // db) - q * (D // d)
-    a1, b_im = b.value, Fraction(e, D)
-
-    def a(m: int):
-        return a1 if m == 1 else _rational((m - 1) * p, (m - 1) * q, d, cplx_z)
-
-    def bb(m: int):
-        re = Fraction(c + (m - 1) * D, D)
-        return ComplexParam(re, b_im) if cplx else re
-
-    return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
-                         rule=CoefficientRule(a=a, b=bb))
+    b, z = b.value, z.value
+    a_rest = _linear(-z, z)
+    return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0, rule=CoefficientRule(
+        a=lambda m: b if m == 1 else a_rest(m), b=_linear(b - z - 1, 1)))
 
 
 def make_m_fraction_diagonal(z) -> ExpansionSpec:

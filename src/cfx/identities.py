@@ -309,13 +309,11 @@ def check_lemma42(l: int, n: int, digits: int = 40, agree: int = 35) -> Verifica
         raise ParameterError("requires 1 <= l < n")
     x = Fraction((n - 1) * l, n)
     with mp.workdps(digits + 15):
-        zp = ComplexParam(Fraction(l, n))
-        lhs = oracle.hyp_2f2(
-            ComplexParam(x + 1), 1, l + 2, ComplexParam(x + 3), zp, digits
-        ).value
+        z = Fraction(l, n)
+        lhs = oracle.hyp_2f2(x + 1, 1, l + 2, x + 3, z, digits).value
         gamma_ratio = (x + 1) * (x + 2)
         pref = to_mp(Fraction(factorial(l + 1) * n ** (l + 1), l ** (l + 1)) * gamma_ratio)
-        remainder = to_mp(zp.re ** (l + 1) / factorial(l + 1)) * oracle.hyp_1f1(l + 2, zp, digits).value
+        remainder = to_mp(z ** (l + 1) / factorial(l + 1)) * oracle.hyp_1f1(l + 2, z, digits).value
         bracket = (
             -mpf(n) / l * remainder
             + to_mp(Fraction(l ** (l - 1), factorial(l - 1) * n ** (l - 1)))

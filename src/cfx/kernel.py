@@ -168,6 +168,11 @@ class ComplexParam:
     def is_real(self) -> bool:
         return self.im == 0
 
+    @property
+    def is_nonpositive_integer(self) -> bool:
+        """True iff the number is 0, -1, -2, ...: a pole of (b)_k in a denominator."""
+        return self.is_real and self.re <= 0 and self.re.denominator == 1
+
     def to_mp(self) -> Scalar:
         """mpf/mpc at the ambient mpmath precision."""
         re_v = mpf(self.re.numerator) / self.re.denominator

@@ -55,10 +55,6 @@ class SeriesResult:
     tail_bound: Scalar
 
 
-def _is_nonpositive_integer(x: ComplexParam) -> bool:
-    return x.is_real and x.re <= 0 and x.re.denominator == 1
-
-
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
@@ -132,7 +128,7 @@ def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
     """1F1(1; b_den; z) = sum_k z^k / (b_den)_k; for real z < 0 it is summed
     as e^z 1F1(b_den - 1; b_den; -z) (Kummer, DLMF 13.2.39)."""
     b_den, z = ComplexParam.coerce(b_den), ComplexParam.coerce(z)
-    if _is_nonpositive_integer(b_den):
+    if b_den.is_nonpositive_integer:
         raise ParameterError(f"b = {b_den} is a pole of 1F1")
     if not (z.is_real and z.re < 0):
         return hyp_sum((), (b_den,), z, digits)
@@ -145,7 +141,7 @@ def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
 def hyp_2f2(a1, a2, b1, b2, z, digits: int) -> SeriesResult:
     """2F2(a1, a2; b1, b2; z) = sum_k (a1)_k (a2)_k / ((b1)_k (b2)_k) z^k / k!."""
     for b in (b1, b2):
-        if _is_nonpositive_integer(ComplexParam.coerce(b)):
+        if ComplexParam.coerce(b).is_nonpositive_integer:
             raise ParameterError(f"denominator parameter {b} is a pole of 2F2")
     return hyp_sum((a1, a2), (b1, b2, 1), z, digits)
 

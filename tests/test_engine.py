@@ -63,15 +63,16 @@ def test_convergents_exp2_limit_close_to_e_squared():
 
 def test_package_root_exports_no_test_only_helper():
     import cfx
-    from cfx import engine
+    from cfx import engine, families
 
     for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
-                 "successive_difference", "iter_convergents"):
+                 "successive_difference", "iter_convergents", "same_convergents"):
         assert not hasattr(cfx, name), name
     for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
                  "successive_difference"):
         assert hasattr(engine, name), name
     assert not hasattr(engine, "iter_convergents")
+    assert hasattr(families, "same_convergents")
 
 
 def test_euler_wallis_step_first_two():
@@ -248,7 +249,9 @@ def _reference_limit(spec, digits):
     """The earlier limit loop: reduce every convergent to the exact quotient
     p/q (a Fraction, or a Gaussian rational for complex z), then stop after two
     consecutive steps with |C_k - C_{k-1}| < 10^-digits * max(1, |C_k|),
-    compared squared.  A non-real limit is rounded as estimate_limit rounds it."""
+    compared squared.  The limit is typed as estimate_limit types it, by its
+    Moebius image: exact when the image's numerator and denominator are both
+    real, else rounded as estimate_limit rounds it."""
     alpha, beta, gamma, delta = spec.mobius
     threshold2 = Fraction(1, 100**digits)
     p_prev, p, q_prev, q = 1, spec.head, 0, 1
@@ -276,6 +279,8 @@ def _reference_limit(spec, digits):
         q_prev, q = q, b * q + a * q_prev
     if not isinstance(value, ComplexParam):
         return value, k
+    if not any(ComplexParam.coerce(x).im for x in (alpha * p + beta * q, gamma * p + delta * q)):
+        return value.re, k
     with mp.workdps(digits + max(10, digits // 4)):
         return value.to_mp(), k
 
@@ -360,6 +365,24 @@ def test_convergents_raw_table_matches_unscaled_recurrence(spec):
         for x in (conv.p_raw, conv.q_raw):
             if isinstance(x, ComplexParam):
                 assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def test_convergents_type_each_value_by_its_imaginary_part():
+    # a_1 = 1 + i makes P_1 = 7/6 + i non-real, while Q_1 = b_1 Q_0 = 1/3 has
+    # no imaginary part: it is the Fraction 1/3, not ComplexParam(1/3, 0).
+    spec = ExpansionSpec(name="complex-then-real", head=Fraction(1, 2), rule=CoefficientRule(
+        a=lambda m: ComplexParam(1, 1) if m == 1 else 1, b=lambda m: Fraction(m, 3)))
+    conv = convergents(spec, 3)[1]
+    state = euler_wallis_step(ConvergentState.initial(spec.head), spec.rule.a(1), spec.rule.b(1))
+    assert type(conv.q_raw) is Fraction and conv.q_raw == Fraction(1, 3) == state.q_cur
+    assert conv.p_raw == ComplexParam(Fraction(7, 6), Fraction(1)) == state.p_cur
+    assert isinstance(conv.value, ComplexParam)
+    # The other way round: P_1 = 1 is real and Q_1 = b_1 = 1 + i is not.
+    spec = ExpansionSpec(name="real-over-complex", head=0, rule=CoefficientRule(
+        a=lambda m: 1, b=lambda m: ComplexParam(1, 1) if m == 1 else 2))
+    conv = convergents(spec, 1)[1]
+    assert type(conv.p_raw) is int and conv.q_raw == ComplexParam(1, 1)
+    assert conv.value == ComplexParam(Fraction(1, 2), Fraction(-1, 2))
 
 
 @pytest.mark.parametrize(
@@ -451,6 +474,27 @@ def test_estimate_limit_matches_reference_random(head, a, b, m, digits):
         mobius=m,
     )
     assert estimate_limit(spec, digits) == _reference_limit(spec, digits)
+
+
+def test_estimate_limit_real_image_of_complex_coefficients_is_exact():
+    # a_k = i for odd k makes P_1 = i non-real, but the constant map w -> 1/3
+    # reads only Q, which stays real: the image's cleared imaginary parts are
+    # zero, so the limit is the exact Fraction, not a rounded mpf.
+    spec = ExpansionSpec(
+        name="complex-coefficients-real-image",
+        head=0,
+        rule=CoefficientRule(a=lambda k: ComplexParam(0, 1) if k % 2 else 1,
+                             b=lambda k: 0 if k <= 2 else 12),
+        mobius=(0, 1, 0, 3),
+    )
+    assert convergents(spec, 1)[1].p_raw == ComplexParam(0, 1)
+    value, depth = estimate_limit(spec, 1)
+    assert (value, depth) == (Fraction(1, 3), 4) and type(value) is Fraction
+    assert (value, depth) == _reference_limit(spec, 1)
+    # The same with a non-real head and real coefficients.
+    spec = replace(spec, head=ComplexParam(0, 1), rule=CoefficientRule(a=lambda k: 1,
+                                                                       b=lambda k: 12))
+    assert estimate_limit(spec, 30) == (Fraction(1, 3), 2) == _reference_limit(spec, 30)
 
 
 def test_estimate_limit_imaginary_part_dominates():

@@ -230,6 +230,23 @@ def test_m_fraction_rule_matches_paper_formula(b, z):
         _check_rule(spec, 0, lambda m: bv if m == 1 else (m - 1) * zv, lambda m: bv + (m - 1) - zv)
 
 
+def test_complex_rules_keep_complex_type_where_an_imaginary_part_cancels():
+    # Im a_2 = 0 at z = -1/2 + i, and b_1 = b - z = -1 at b = 1+i, z = 2+i:
+    # each value stays a ComplexParam, as the formula in ComplexParam gives it.
+    z = ComplexParam(Fraction(-1, 2), Fraction(1))
+    assert make_inc_gamma(z).rule.a(2).im == 0
+    for zv in (z, ComplexParam(Fraction(2), Fraction(3))):  # and a Gaussian integer
+        for make in (make_inc_gamma, make_confluent_1f1):
+            _check_rule(make(zv), 1 + zv, lambda m: -zv * (m + zv - 1),
+                        lambda m: m + 2 * zv + 1)
+    for bv, zv in ((ComplexParam(Fraction(1), Fraction(1)), ComplexParam(Fraction(2), Fraction(1))),
+                   (Fraction(1, 2), ComplexParam(Fraction(3), Fraction(2)))):
+        spec = make_m_fraction(bv, zv)
+        _check_rule(spec, 0, lambda m: bv if m == 1 else (m - 1) * zv, lambda m: bv + (m - 1) - zv)
+    assert make_m_fraction(ComplexParam(Fraction(1), Fraction(1)),
+                           ComplexParam(Fraction(2), Fraction(1))).rule.b(1) == -1
+
+
 def test_inc_gamma_rejects_cut():
     for z in (0, -3, Fraction(-1, 2)):
         with pytest.raises(DomainError):
@@ -259,6 +276,7 @@ def test_m_fraction_rejects_nonpositive_integer_b():
     for b in (0, -1, -5):
         with pytest.raises(ParameterError):
             make_m_fraction(b, 1)
+    assert make_m_fraction(ComplexParam(-2, 1), 1).rule.a(1) == ComplexParam(-2, 1)
 
 
 def test_m_fraction_diagonal_first_convergent_singular():

@@ -69,6 +69,23 @@ def test_hyp_2f2_special_values():
         hyp_2f2(1, 1, 0, 3, 1, 20)
 
 
+def test_nonpositive_integer_denominator_parameter_is_a_pole():
+    # ComplexParam.is_nonpositive_integer decides the poles of hyp_1f1,
+    # hyp_2f2 and the M-fraction's b alike.
+    for b in (0, -2):
+        with pytest.raises(ParameterError):
+            hyp_1f1(b, 1, 20)
+    for b1, b2 in ((-3, 2), (2, -3)):
+        with pytest.raises(ParameterError):
+            hyp_2f2(1, 1, b1, b2, 1, 20)
+    cases = (0, -2, Fraction(-1, 2), 1, ComplexParam(-2, 1), ComplexParam(-2, 0))
+    assert ([ComplexParam.coerce(x).is_nonpositive_integer for x in cases]
+            == [True, True, False, False, False, True])
+    with mp.workdps(30):
+        assert abs(hyp_1f1(ComplexParam(-2, 1), 1, 20).value
+                   - mp.hyp1f1(1, mp.mpc(-2, 1), 1)) < mpf(10) ** -18
+
+
 def test_sigma_partial_integer_case():
     assert sigma_partial(1, 0) == 1
     assert sigma_partial(1, 1) == Fraction(10, 9)
