@@ -4,8 +4,10 @@ These evaluators never touch the continued-fraction engine.  Every value is
 a power series summed term by term, in one of two ways:
 
 * the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``, ``inc_gamma_normalized``)
-  wrap one mpmath loop, :func:`hyp_sum`, whose guard digits grow with the cancellation
-  among its terms (1/e^(-x) and Kummer's transformation avoid it for real x < 0);
+  wrap one loop, :func:`hyp_sum`, which sums on scaled Gaussian integers, stops
+  once a certified tail bound is below 10^-digits of the sum, and returns an
+  mpmath value; its guard digits grow with the cancellation among its terms
+  (1/e^(-x) and Kummer's transformation avoid it for real x < 0);
 * the integral series (``beta_exp_integral``, ``exp_rational_integral``)
   integrate ``e^{ct}`` term by term as exact integer series, every term over
   one running integer denominator, and stop once a certified geometric bound
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log10, prod
+from math import ceil, isqrt, log10, prod
 
 from mpmath import mp, mpc, mpf
 
@@ -46,8 +48,9 @@ _SPARE = 7  # guard digits that cancellation may use up; the rest covers roundin
 class SeriesResult:
     """A partial sum, the number of terms in it and a bound on what it omits.
 
-    The float series give an ``mpf`` bound; the exact integral series give a
-    certified ``Fraction``.
+    Both bounds are certified for truncation: the float series give an
+    ``mpf`` (their rounding is covered by the guard digits), the exact
+    integral series a ``Fraction``.
     """
 
     value: Scalar
@@ -55,26 +58,96 @@ class SeriesResult:
     tail_bound: Scalar
 
 
+def _ceil_sqrt(x: int) -> int:
+    r = isqrt(x)
+    return r + (r * r < x)
+
+
+def _mag(re: int, im: int) -> int:
+    """mp.mag of re + i im: the bit length of the larger part, plus one when
+    both parts are nonzero."""
+    bits = max(abs(re), abs(im)).bit_length()
+    return bits + 1 if re and im else bits
+
+
+def _floor_log2(p: int, q: int) -> int:
+    """floor(log2(p/q)) for positive ints p and q."""
+    if p >= q:
+        return (p // q).bit_length() - 1
+    return -(-(-q // p) - 1).bit_length()
+
+
+def _ratio_bound(z, a, b):
+    """k -> (u, v) with u < v and every term ratio |t_{j+1}/t_j|, j >= k, at
+    most u/v; None where that bound does not hold or is not below 1.
+
+    All arguments are (p, q, d) triples.  Pairing a_i with b_i, |a_i + k| <=
+    |b_i + k| + |a_i - b_i| and |b_j + k| >= Re b_j + k give rho_k = |z|
+    prod_i (1 + |a_i - b_i|/(Re b_i + k)) prod_{j>p} 1/(Re b_j + k) once every
+    Re b_j + k > 0; it does not increase with k.  |z| and |a_i - b_i| are
+    rounded up, so rho_k is an exact upper bound.  With more a than b there is
+    no bound."""
+    if len(a) > len(b):
+        return lambda k: None
+    zp, zq, zd = z
+    cz = _ceil_sqrt(zp * zp + zq * zq)
+    pairs = [(da, pb, db, _ceil_sqrt((pa * db - pb * da) ** 2 + (qa * db - qb * da) ** 2))
+             for (pa, qa, da), (pb, qb, db) in zip(a, b)]
+    rest = b[len(a):]
+
+    def rho(k: int):
+        u, v = cz, zd
+        # 1 + c/(da (Re b + k)) = (da r + c)/(da r) with r = db (Re b + k).
+        for da, pb, db, c in pairs:
+            r = pb + k * db
+            if r <= 0:
+                return None
+            u, v = u * (da * r + c), v * da * r
+        for pb, _, db in rest:
+            r = pb + k * db
+            if r <= 0:
+                return None
+            u, v = u * db, v * r
+        return (u, v) if u < v else None
+
+    return rho
+
+
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
     The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D of
-    Gaussian integers.  Stops at the first |t_k| <= |t_{k-1}|/2 with |t_k| <
-    10^-digits |sum|; the tail is then at most |t_k|, the reported bound.  A sum
-    whose largest term exceeds it by more digits than the guard can spare is
-    redone with the guard raised by the digits lost, until it covers them.  The
-    ratio test cannot hold before k ~ 2|z|, so the term budget grows with |z|;
-    a sum that outruns it raises PrecisionError."""
+    Gaussian integers, so the term and the sum are kept as (re, im) ints scaled
+    by 2^(e-w), w = mp.prec at digits + guard: each step is t <- t N conj(D) //
+    |D|^2, on one real int while t and N conj(D) are real.  Both start at 2^w;
+    once a growing term passes 2^(2w), the term and the sum are shifted right to
+    w bits and the shift is added to e.  They become an mpf (an mpc once a
+    ratio was non-real) only at the end.
+
+    The series terminates, exactly, at the first N = 0.  Otherwise it stops at
+    the first |t_k| <= |t_{k-1}|/2 with |t_k| < 10^-digits |sum| (an exact
+    test on the ints) whose certified tail is below 10^-digits |sum| too: with
+    rho_k < 1 from :func:`_ratio_bound`, the terms after t_k sum to at most
+    (|t_k| + 2^(e-w)) rho_k/(1 - rho_k), the reported bound.  A sum whose
+    largest term exceeds it by more digits than the guard can spare is redone
+    with the guard raised by the digits lost, until it covers them.  The ratio
+    test cannot hold before k ~ 2|z|, so the term budget grows with |z|; a sum
+    that outruns it raises PrecisionError."""
     (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
     budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd
+    rho = _ratio_bound((zp, zq, zd), a, b)
+    ten = 10**digits
     guard = _GUARD
     while True:
         with mp.workdps(digits + guard):
-            total = term = mpf(1)
-            big = 1  # binary magnitude (mp.mag) of the largest term
-            cut = None  # 10^-digits |total|, refreshed when a term nears it
+            w = mp.prec
+            tr, ti, sr, si, e = 1 << w, 0, 1 << w, 0, 0  # t and the sum, in units of 2^(e-w)
+            big = 1  # mp.mag of the largest term
+            cut = None  # 1 + mp.mag(10^-digits |sum|) at the last test, in units, plus e
+            tail = None  # the tail bound in units, as (numerator, denominator)
+            cplx = False
             k = 0
             while True:
                 nr, ni, dr, di = zp * n0, zq * n0, d0, 0
@@ -84,23 +157,47 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
                     dr, di = dr * (p + k * d) - di * q, dr * q + di * (p + k * d)
                 n_norm, d_norm = nr * nr + ni * ni, dr * dr + di * di
                 re, im = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
-                term = term * (mpc(re, im) if im else re) / d_norm
-                total += term
+                if im or cplx:
+                    cplx = True
+                    tr, ti = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
+                    si += ti
+                else:
+                    tr = tr * re // d_norm
+                sr += tr
                 k += 1
+                if not n_norm:
+                    tail = 0, 1
+                    break
                 if 4 * n_norm > d_norm:  # |t_k| > |t_{k-1}|/2
                     if n_norm > d_norm:
-                        big = max(big, mp.mag(term))
-                elif cut is None or mp.mag(term) <= cut_mag:
-                    t_abs, cut = abs(term), abs(total) / 10**digits
-                    if t_abs < cut or not t_abs:  # a zero term ends a terminating series
-                        break
-                    cut_mag = mp.mag(cut) + 1
+                        bits = _mag(tr, ti)
+                        big = max(big, bits + e - w)
+                        if bits > 2 * w:
+                            shift = bits - w
+                            tr, ti, sr, si, e = tr >> shift, ti >> shift, sr >> shift, si >> shift, e + shift
+                # A term of at most 2 bits may be all rounding, so it is always tested.
+                elif cut is None or _mag(tr, ti) + e <= max(cut, e + 2):
+                    t2, s2 = tr * tr + ti * ti, sr * sr + si * si
+                    bound = rho(k) if t2 * ten * ten < s2 else None
+                    if bound:
+                        u, v = bound
+                        num, den = (_ceil_sqrt(t2) + 1) * u, v - u
+                        if num * ten < isqrt(s2) * den:
+                            tail = num, den
+                            break
+                    if t2 <= 8 and s2 < 100 * ten * ten:
+                        break  # rounding alone is left: the sum is lost to cancellation
+                    cut = _floor_log2(s2, ten * ten) // 2 + 2 + e
                 if k > budget:
                     raise PrecisionError("series failed to converge")
-            lost = (big - mp.mag(total)) * log10(2) if total else 0
-            if lost <= guard - _GUARD + _SPARE:
-                return SeriesResult(total, k + 1, t_abs)
-            guard = _GUARD + ceil(lost)
+            # A zero sum of a terminated series is exact; any other is all rounding.
+            lost = (big - _mag(sr, si) - e + w) * log10(2) if sr or si or n_norm else 0
+            if tail and lost <= guard - _GUARD + _SPARE:
+                value = mp.ldexp(mpf(sr), e - w)
+                if cplx:
+                    value = mpc(value, mp.ldexp(mpf(si), e - w))
+                return SeriesResult(value, k + 1, mp.ldexp(mpf(tail[0]) / tail[1], e - w))
+            guard = max(guard + 1, _GUARD + ceil(lost))
 
 
 def exp_series(x, digits: int) -> SeriesResult:

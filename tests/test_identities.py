@@ -55,6 +55,9 @@ def test_recurrence_solution_sec4_passes():
 def test_q_closed_form_passes():
     for n in (1, 2, 5, 10):
         assert check_q_closed_form(n, 100).passed
+    assert check_q_closed_form(3, 0).witness == {"Q_raw": ["1"]}
+    with pytest.raises(ParameterError, match="depth must be >= 0"):
+        check_q_closed_form(3, -1)
 
 
 def reference_sec4(z, n, k_max):
@@ -110,12 +113,14 @@ def test_recurrence_sec4_matches_reference_off_grid(z, n):
 
 
 def test_q_closed_form_reports_a_wrong_q(monkeypatch):
-    def off_by_one(spec, depth):
-        convs = convergents(spec, depth)
-        convs[7] = dataclasses.replace(convs[7], q_raw=convs[7].q_raw + 1)
-        return convs
+    raw = identities._raw_convergents
 
-    monkeypatch.setattr(identities, "convergents", off_by_one)
+    def off_by_one(spec):
+        # Q_7 = Re Q'_7 / s_7 moves by one.
+        for k, pr, pi, qr, qi, a2, s in raw(spec):
+            yield k, pr, pi, qr + s if k == 7 else qr, qi, a2, s
+
+    monkeypatch.setattr(identities, "_raw_convergents", off_by_one)
     report = check_q_closed_form(3, 20)
     assert not report.passed
     assert report.actual == "mismatch at k=[7]"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from cfx.kernel import ComplexParam, ParameterError, PrecisionError, factorial, to_mp
 from cfx.oracle import (
@@ -310,3 +310,100 @@ def test_divergent_series_exhausts_its_term_budget():
     # sum k! z^k: no term ratio ever falls below 1/2, so the budget ends it.
     with pytest.raises(PrecisionError, match="series failed to converge"):
         hyp_sum((1, 1), (1,), 1, 10)
+
+
+# The fixed-point ring of hyp_sum.  Points with Re z < 0 and Im z != 0 lose
+# more digits to cancellation than the first guard spares, so they are redone.
+RING_Z = (ComplexParam(-20, 3), ComplexParam(-40, Fraction(1, 4)),
+          ComplexParam(Fraction(-5, 2), Fraction(3, 4)), ComplexParam(Fraction(-3, 2), -2),
+          30, ComplexParam(45, 1), ComplexParam(0, 25), ComplexParam(-60, Fraction(1, 2)))
+RING_B = (Fraction(1, 2), ComplexParam(1, 1), 3)
+
+
+def _within_tail(result, reference, digits):
+    # The truncation is certified by tail_bound; rounding stays below the guard.
+    gap = abs(result.value - reference)
+    assert result.tail_bound < mpf(10) ** -digits * abs(result.value)
+    assert gap <= result.tail_bound + mpf(10) ** -(digits + 8) * abs(result.value)
+    assert gap <= mpf(10) ** -digits * abs(reference)
+
+
+@pytest.mark.parametrize("digits", (10, 60))
+@pytest.mark.parametrize("z", RING_Z, ids=str)
+def test_fixed_point_sums_match_mpmath_within_their_tail(z, digits):
+    z = ComplexParam.coerce(z)
+    for b in RING_B:
+        b = ComplexParam.coerce(b)
+        result = hyp_1f1(b, z, digits)
+        with mp.workdps(digits + 40):
+            _within_tail(result, mp.hyp1f1(1, b.to_mp(), z.to_mp()), digits)
+    result = hyp_2f2(1, 1, 3, z + 2, z, digits)
+    with mp.workdps(digits + 40):
+        _within_tail(result, mp.hyp2f2(1, 1, 3, (z + 2).to_mp(), z.to_mp()), digits)
+    # hyp_sum directly, with the 1 for k! appended: 1F1(b - 1; b; z) of Kummer's form.
+    b = ComplexParam(2, 1)
+    result = hyp_sum((b - 1,), (b, 1), z, digits)
+    with mp.workdps(digits + 40):
+        _within_tail(result, mp.hyp1f1((b - 1).to_mp(), b.to_mp(), z.to_mp()), digits)
+
+
+@pytest.mark.parametrize("b, digits", [(Fraction(-21, 2), 6), (Fraction(-41, 2), 18),
+                                       (Fraction(-61, 2), 33)], ids=str)
+def test_stop_waits_for_a_certified_tail(b, digits):
+    # In 1F1(1; b; 1) the ratio 1/(b + k) is below 1/2 and the terms fall
+    # below 10^-digits of the sum before k ~ -b, where they grow again; no
+    # stop comes before Re b + k > 0 and rho_k certifies the rest.
+    result = hyp_1f1(b, 1, digits)
+    with mp.workdps(digits + 40):
+        _within_tail(result, mp.hyp1f1(1, mpf(b.numerator) / b.denominator, 1), digits)
+
+
+@pytest.mark.parametrize("z", (Fraction(53, 4), 29, ComplexParam(1, Fraction(13, 2))), ids=str)
+def test_low_digit_lemma23_sums_run_to_a_certified_tail(z):
+    # At 5 digits Lemma 2.3's 2F2 has a term below 10^-5 of the sum before
+    # rho_k, loose by its pairing, certifies the terms after it.
+    z = ComplexParam.coerce(z)
+    result = hyp_2f2(1, 1, 3, z + 2, z, 5)
+    with mp.workdps(50):
+        _within_tail(result, mp.hyp2f2(1, 1, 3, (z + 2).to_mp(), z.to_mp()), 5)
+
+
+@pytest.mark.parametrize("digits", (5, 20))
+@pytest.mark.parametrize("a", (8, ComplexParam(6, 4)), ids=str)
+def test_tail_bound_pairs_each_numerator_with_a_denominator(a, digits):
+    # |a + k| > |b + k| here, so rho_k needs its 1 + |a - b|/(Re b + k) factor.
+    a, b = ComplexParam.coerce(a), ComplexParam(Fraction(1, 2))
+    for z in (5, ComplexParam(0, 6), ComplexParam(Fraction(9, 2), 1)):
+        z = ComplexParam.coerce(z)
+        result = hyp_sum((a,), (b, 1), z, digits)
+        with mp.workdps(digits + 40):
+            _within_tail(result, mp.hyp1f1(a.to_mp(), b.to_mp(), z.to_mp()), digits)
+
+
+def test_growing_terms_are_rescaled():
+    # Terms of e^5000 reach 10^2170; the sum keeps about 2w bits at 30 digits.
+    result = hyp_sum((), (1,), 5000, 30)
+    with mp.workdps(60):
+        _within_tail(result, mp.exp(5000), 30)
+
+
+def test_complex_terminating_series_is_exact():
+    # sum_k (-3)_k z^k/k! = (1 - z)^3; the zero ratio at k = 3 ends the sum.
+    result = hyp_sum((-3,), (1,), ComplexParam(2, 1), 20)
+    assert result.value == mpc(2, -2)
+    assert (result.terms_used, result.tail_bound) == (5, 0)
+    # (1 - z)^40 = 3^-40 at z = 1 + i/3, from terms up to 10^12: the first
+    # sum loses 31 of its 36 digits to cancellation, and the guard redoes it.
+    result = hyp_sum((-40,), (1,), ComplexParam(1, Fraction(1, 3)), 20)
+    with mp.workdps(60):
+        _within_tail(result, mpf(3) ** -40, 20)
+
+
+def test_value_types_follow_the_arguments():
+    for value in (exp_series(2, 20).value, exp_series(-300, 20).value,
+                  hyp_1f1(3, Fraction(-5, 2), 20).value, hyp_2f2(1, 1, 3, 4, 2, 20).value):
+        assert type(value) is type(mpf(1))
+    for value in (exp_series(ComplexParam(0, 2), 20).value,
+                  hyp_1f1(ComplexParam(1, 1), 2, 20).value,
+                  hyp_2f2(1, 1, 3, ComplexParam(2, 1), -1, 20).value):
+        assert type(value) is type(mpc(1))
