@@ -130,7 +130,8 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     rho_k < 1 from :func:`_ratio_bound`, the terms after t_k sum to at most
     (|t_k| + 2^(e-w)) rho_k/(1 - rho_k), the reported bound.  A sum whose
     largest term exceeds it by more digits than the guard can spare is redone
-    with the guard raised by the digits lost, until it covers them.  The ratio
+    with the guard raised by the digits lost, until it covers them; so is a
+    sum of under 10^(digits+1) units whose terms sink into rounding.  The ratio
     test cannot hold before k ~ 2|z|, so the term budget grows with |z|; a sum
     that outruns it raises PrecisionError."""
     (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
@@ -138,7 +139,7 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
     budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd
     rho = _ratio_bound((zp, zq, zd), a, b)
-    ten = 10**digits
+    ten, ten2 = 10**digits, 100**digits
     guard = _GUARD
     while True:
         with mp.workdps(digits + guard):
@@ -178,16 +179,16 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
                 # A term of at most 2 bits may be all rounding, so it is always tested.
                 elif cut is None or _mag(tr, ti) + e <= max(cut, e + 2):
                     t2, s2 = tr * tr + ti * ti, sr * sr + si * si
-                    bound = rho(k) if t2 * ten * ten < s2 else None
+                    bound = rho(k) if t2 * ten2 < s2 else None
                     if bound:
                         u, v = bound
                         num, den = (_ceil_sqrt(t2) + 1) * u, v - u
                         if num * ten < isqrt(s2) * den:
                             tail = num, den
                             break
-                    if t2 <= 8 and s2 < 100 * ten * ten:
+                    if t2 <= 8 and s2 < 100 * ten2:
                         break  # rounding alone is left: the sum is lost to cancellation
-                    cut = _floor_log2(s2, ten * ten) // 2 + 2 + e
+                    cut = (_floor_log2(s2, ten2) // 2 + 2 if s2 else 0) + e
                 if k > budget:
                     raise PrecisionError("series failed to converge")
             # A zero sum of a terminated series is exact; any other is all rounding.

@@ -392,6 +392,10 @@ def test_complex_terminating_series_is_exact():
     result = hyp_sum((-3,), (1,), ComplexParam(2, 1), 20)
     assert result.value == mpc(2, -2)
     assert (result.terms_used, result.tail_bound) == (5, 0)
+    # 1 - 3/2 + 1/2 - 1/24: the partial sum is exactly 0 at a stop candidate.
+    result = hyp_sum((-3,), (2, 1), 1, 20)
+    with mp.workdps(60):
+        _within_tail(result, mpf(-1) / 24, 20)
     # (1 - z)^40 = 3^-40 at z = 1 + i/3, from terms up to 10^12: the first
     # sum loses 31 of its 36 digits to cancellation, and the guard redoes it.
     result = hyp_sum((-40,), (1,), ComplexParam(1, Fraction(1, 3)), 20)
