@@ -17,7 +17,8 @@ Gaussian integer is a (re, im) pair of ints in local variables; while every
 imaginary part is zero, the step is the real one on ints alone.
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
-while reduced values match printed convergent tables.  A value whose cleared
+while reduced values match printed convergent tables.  :func:`raw_table`
+gives those pairs alone, with no convergent reduced.  A value whose cleared
 form has a nonzero imaginary part is a ComplexParam, and every other value an
 int or a Fraction.  :func:`estimate_limit` works on the pairs and
 reduces only at return.  Its stopping test rests on the determinant identity
@@ -217,12 +218,23 @@ def _unscaled(re: int, im: int, s: int) -> Scalar:
     return ComplexParam(Fraction(re, s), Fraction(im, s))
 
 
-def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
-    """Convergents 0..depth (inclusive)."""
+def _rows(spec: ExpansionSpec, depth: int) -> Iterator[tuple]:
+    """The rows k = 0..depth (inclusive) of :func:`_raw_convergents`."""
     if depth < 0:
         raise ParameterError("depth must be >= 0")
+    return itertools.islice(_raw_convergents(spec), depth + 1)
+
+
+def raw_table(spec: ExpansionSpec, depth: int) -> list[tuple[Scalar, Scalar]]:
+    """The raw (P_k, Q_k) of the fraction as given, k = 0..depth (inclusive);
+    no convergent is formed or reduced."""
+    return [(_unscaled(pr, pi, s), _unscaled(qr, qi, s)) for _, pr, pi, qr, qi, _, s in _rows(spec, depth)]
+
+
+def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
+    """Convergents 0..depth (inclusive)."""
     out = []
-    for k, pr, pi, qr, qi, _, s in itertools.islice(_raw_convergents(spec), depth + 1):
+    for k, pr, pi, qr, qi, _, s in _rows(spec, depth):
         nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
         singular = not (qr or qi) or not (dr or di)
         value = None if singular else _quotient(nr, ni, dr, di)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
 
-from .engine import _raw_convergents, _unscaled, convergents, estimate_limit
+from .engine import convergents, estimate_limit, raw_table
 from .families import (
     first_differing_index,
     make_classical,
@@ -157,16 +157,13 @@ def check_recurrence_solution_sec4(z: Fraction, n: int, k_max: int) -> Verificat
 def check_q_closed_form(n: int, k_max: int) -> VerificationReport:
     """Raw Euler-Wallis Q_k of the e^n fraction equals (1/n)(k+1)(n)_{k+1}.
 
-    Q_k comes from the engine's raw recurrence, so no convergent is reduced.
+    Q_k comes from the engine's raw table, so no convergent is reduced.
     The rising factorial is kept as a running integer product, and each
     Q_k is compared by the integer cross-multiplication n Q_k = (k+1)(n)_{k+1}.
     """
     if n < 1:
         raise ParameterError("requires n >= 1")
-    if k_max < 0:
-        raise ParameterError("depth must be >= 0")
-    raw = itertools.islice(_raw_convergents(make_exp_n(n)), k_max + 1)
-    q_raw = [_unscaled(qr, qi, s) for _, _, _, qr, qi, _, s in raw]
+    q_raw = [q for _, q in raw_table(make_exp_n(n), k_max)]
     bad = []
     poch = 1
     for k, q in enumerate(q_raw):

@@ -113,16 +113,27 @@ def _ratio_bound(z, a, b):
     return rho
 
 
+def _lift(w: int, bits: int, n_norm: int, d_norm: int) -> int:
+    """A left shift of a term of ``bits`` bits after which its product with N/D
+    has at least 3w/2 bits: |N/D| >= 2^((nb - db - 1)/2) for nb, db the bit
+    lengths of |N|^2 and |D|^2."""
+    return w + w // 2 + 2 - bits - (n_norm.bit_length() - d_norm.bit_length()) // 2
+
+
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
     The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D of
-    Gaussian integers, so the term and the sum are kept as (re, im) ints scaled
-    by 2^(e-w), w = mp.prec at digits + guard: each step is t <- t N conj(D) //
-    |D|^2, on one real int while t and N conj(D) are real.  Both start at 2^w;
-    once a growing term passes 2^(2w), the term and the sum are shifted right to
-    w bits and the shift is added to e.  They become an mpf (an mpc once a
-    ratio was non-real) only at the end.
+    Gaussian integers, so the sum is kept as (re, im) ints in units of
+    2^(e-w), w = mp.prec at digits + guard, and the term as (re, im) ints in
+    units of 2^x of those, x <= 0.  Both start at 1, which is 2^w units.  Each
+    step is t <- t N conj(D) // |D|^2, on one real int while t and N conj(D)
+    are real.  A quotient of under w bits is taken again from the term shifted
+    left, with x lowered to match: the term keeps w bits however far it falls
+    below a unit of the sum, so a later rise loses none.  Once a growing term
+    passes 2^(2w), it is shifted right to w bits; x takes the shift up to 0,
+    and the rest shifts the sum and is added to e.  The sum becomes an mpf (an
+    mpc once a ratio was non-real) only at the end.
 
     The series terminates, exactly, at the first N = 0.  Otherwise it stops at
     the first |t_k| <= |t_{k-1}|/2 with |t_k| < 10^-digits |sum| (an exact
@@ -131,9 +142,9 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     (|t_k| + 2^(e-w)) rho_k/(1 - rho_k), the reported bound.  A sum whose
     largest term exceeds it by more digits than the guard can spare is redone
     with the guard raised by the digits lost, until it covers them; so is a
-    sum of under 10^(digits+1) units whose terms sink into rounding.  The ratio
-    test cannot hold before k ~ 2|z|, so the term budget grows with |z|; a sum
-    that outruns it raises PrecisionError."""
+    sum of under 10^(digits+1) units once a term falls below one unit.  The
+    ratio test cannot hold before k ~ 2|z|, so the term budget grows with |z|;
+    a sum that outruns it raises PrecisionError."""
     (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
@@ -144,9 +155,10 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     while True:
         with mp.workdps(digits + guard):
             w = mp.prec
-            tr, ti, sr, si, e = 1 << w, 0, 1 << w, 0, 0  # t and the sum, in units of 2^(e-w)
+            tr, ti, x = 1 << w, 0, 0  # the term, (tr + i ti) 2^x units
+            sr, si, e = 1 << w, 0, 0  # the sum; a unit is 2^(e-w)
             big = 1  # mp.mag of the largest term
-            cut = None  # 1 + mp.mag(10^-digits |sum|) at the last test, in units, plus e
+            cut = None  # 1 + mp.mag(10^-digits |sum|) in units at the last test
             tail = None  # the tail bound in units, as (numerator, denominator)
             cplx = False
             k = 0
@@ -157,38 +169,49 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
                 for p, q, d in b:
                     dr, di = dr * (p + k * d) - di * q, dr * q + di * (p + k * d)
                 n_norm, d_norm = nr * nr + ni * ni, dr * dr + di * di
-                re, im = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
-                if im or cplx:
-                    cplx = True
-                    tr, ti = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
-                    si += ti
-                else:
-                    tr = tr * re // d_norm
-                sr += tr
                 k += 1
                 if not n_norm:
                     tail = 0, 1
                     break
+                re, im = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
+                if im or cplx:
+                    cplx = True
+                    qr, qi = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
+                    if max(qr.bit_length(), qi.bit_length()) < w:
+                        lift = _lift(w, max(tr.bit_length(), ti.bit_length()), n_norm, d_norm)
+                        tr, ti, x = tr << lift, ti << lift, x - lift
+                        qr, qi = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
+                    tr, ti = qr, qi
+                    si += ti >> -x
+                else:
+                    q = tr * re // d_norm
+                    if q.bit_length() < w:
+                        lift = _lift(w, tr.bit_length(), n_norm, d_norm)
+                        tr, x = tr << lift, x - lift
+                        q = tr * re // d_norm
+                    tr = q
+                sr += tr >> -x
                 if 4 * n_norm > d_norm:  # |t_k| > |t_{k-1}|/2
                     if n_norm > d_norm:
                         bits = _mag(tr, ti)
-                        big = max(big, bits + e - w)
+                        big = max(big, bits + x + e - w)
                         if bits > 2 * w:
-                            shift = bits - w
-                            tr, ti, sr, si, e = tr >> shift, ti >> shift, sr >> shift, si >> shift, e + shift
-                # A term of at most 2 bits may be all rounding, so it is always tested.
-                elif cut is None or _mag(tr, ti) + e <= max(cut, e + 2):
+                            drop, shift = bits - w, max(bits - w + x, 0)
+                            tr, ti, x = tr >> drop, ti >> drop, x + drop - shift
+                            sr, si, e = sr >> shift, si >> shift, e + shift
+                elif cut is None or _mag(tr, ti) + x <= cut:
                     t2, s2 = tr * tr + ti * ti, sr * sr + si * si
-                    bound = rho(k) if t2 * ten2 < s2 else None
+                    # |t_k| is sqrt(t2) 2^x units.
+                    bound = rho(k) if t2 * ten2 < s2 << -2 * x else None
                     if bound:
                         u, v = bound
-                        num, den = (_ceil_sqrt(t2) + 1) * u, v - u
+                        num, den = (-(-_ceil_sqrt(t2) >> -x) + 1) * u, v - u
                         if num * ten < isqrt(s2) * den:
                             tail = num, den
                             break
-                    if t2 <= 8 and s2 < 100 * ten2:
-                        break  # rounding alone is left: the sum is lost to cancellation
-                    cut = (_floor_log2(s2, ten2) // 2 + 2 if s2 else 0) + e
+                    if _mag(tr, ti) + x <= 0 and s2 < 100 * ten2:
+                        break  # a sum of few units and a term below one: more guard
+                    cut = _floor_log2(s2, ten2) // 2 + 2 if s2 else 0
                 if k > budget:
                     raise PrecisionError("series failed to converge")
             # A zero sum of a terminated series is exact; any other is all rounding.

@@ -15,6 +15,7 @@ from cfx.engine import (
     depth_cap,
     equivalence_transform,
     estimate_limit,
+    raw_table,
     euler_wallis_step,
     successive_difference,
     unshift_first_step,
@@ -46,6 +47,13 @@ E_EULER_TABLE = [
 def test_convergents_e_euler_table():
     convs = convergents(make_e_euler(), 5)
     assert [c.value for c in convs] == E_EULER_TABLE
+
+
+def test_raw_table_matches_the_convergents_raw_pairs():
+    for spec in (make_e_euler(), make_exp_n(3), make_m_fraction(Fraction(1, 2), ComplexParam(2, 3))):
+        assert raw_table(spec, 12) == [(c.p_raw, c.q_raw) for c in convergents(spec, 12)]
+    with pytest.raises(ParameterError, match="depth must be >= 0"):
+        raw_table(make_exp_n(3), -1)
 
 
 def test_convergents_exp_n_depth0():

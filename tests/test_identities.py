@@ -113,14 +113,14 @@ def test_recurrence_sec4_matches_reference_off_grid(z, n):
 
 
 def test_q_closed_form_reports_a_wrong_q(monkeypatch):
-    raw = identities._raw_convergents
+    table = identities.raw_table
 
-    def off_by_one(spec):
-        # Q_7 = Re Q'_7 / s_7 moves by one.
-        for k, pr, pi, qr, qi, a2, s in raw(spec):
-            yield k, pr, pi, qr + s if k == 7 else qr, qi, a2, s
+    def off_by_one(spec, depth):
+        rows = table(spec, depth)
+        rows[7] = rows[7][0], rows[7][1] + 1
+        return rows
 
-    monkeypatch.setattr(identities, "_raw_convergents", off_by_one)
+    monkeypatch.setattr(identities, "raw_table", off_by_one)
     report = check_q_closed_form(3, 20)
     assert not report.passed
     assert report.actual == "mismatch at k=[7]"

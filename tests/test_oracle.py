@@ -358,6 +358,20 @@ def test_stop_waits_for_a_certified_tail(b, digits):
         _within_tail(result, mp.hyp1f1(1, mpf(b.numerator) / b.denominator, 1), digits)
 
 
+def test_a_term_keeps_its_digits_through_a_deep_dip():
+    # 1F1(1; -797/2; 200): the terms fall to about 10^-33 near k = 199, far
+    # below a unit of the sum at 10 digits, then rise to about 10^140 past the
+    # pole near k = 398; the ratio stays above 1/2 until k = 799.
+    result = hyp_1f1(Fraction(-797, 2), 200, 10)
+    with mp.workdps(60):
+        _within_tail(result, mp.hyp1f1(1, mpf(-797) / 2, 200), 10)
+    # The same dip in a complex sum.
+    z = ComplexParam(200, 1)
+    result = hyp_1f1(Fraction(-797, 2), z, 10)
+    with mp.workdps(60):
+        _within_tail(result, mp.hyp1f1(1, mpf(-797) / 2, z.to_mp()), 10)
+
+
 @pytest.mark.parametrize("z", (Fraction(53, 4), 29, ComplexParam(1, Fraction(13, 2))), ids=str)
 def test_low_digit_lemma23_sums_run_to_a_certified_tail(z):
     # At 5 digits Lemma 2.3's 2F2 has a term below 10^-5 of the sum before
