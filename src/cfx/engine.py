@@ -14,7 +14,12 @@ transformation (Lorentzen & Waadeland, *Continued Fractions with
 Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
 and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
 Gaussian integer is a (re, im) pair of ints in local variables; while every
-imaginary part is zero, the step is the real one on ints alone.
+imaginary part is zero, the step is the real one on ints alone.  A rule whose
+callables carry a ``progression`` (the complex-parameter families, through
+:func:`~cfx.families._linear`) is stepped on it: a_m = (A0 + A1 m)/D and
+b_m = (B0 + B1 m)/D over one D, from the index ``start`` on (2 for the
+M-fraction's a, whose a_1 = b is the exception), so each step adds A1 and B1
+with the constant scale r_m = D and makes no rule call, gcd or Fraction.
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
@@ -143,34 +148,56 @@ def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
     whose head and coefficients are ints or Gaussian integers, stepped on
     (re, im) int pairs.
 
-    With r_m = lcm(den a_m, den b_m) and r_0 = 1 it steps on a'_m = r_m r_{m-1} a_m
-    and b'_m = r_m b_m, each taken as x = (re + i im)/d from :func:`gaussian`.
-    The head's denominator s_0 starts the vectors at
-    (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0), so P'_k = s_k P_k and
-    Q'_k = s_k Q_k with the running scale s_k = s_0 r_1...r_k, and a'_0 = s_0^2
-    makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  For int coefficients every r_m
-    is 1.  Until an imaginary part turns up, the step is the real one on ints
-    alone.  A spec with no rule has P_k = head, Q_k = 1 and a_k = 0 for
-    k >= 1: every step is zero."""
+    With r_0 = 1 and a scale r_m > 0 that clears a_m and b_m it steps on
+    a'_m = r_m r_{m-1} a_m and b'_m = r_m b_m.  The head's denominator s_0
+    starts the vectors at (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0),
+    so P'_k = s_k P_k and Q'_k = s_k Q_k with the running scale
+    s_k = s_0 r_1...r_k, and a'_0 = s_0^2 makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.
+
+    When both of the rule's callables carry a ``progression``
+    (Re A0, Im A0, Re A1, Im A1, e), the cleared form x_m = (A0 + A1 m)/e that
+    :func:`~cfx.families._linear` attaches, and the index ``start`` it holds
+    from, then from the larger start on r_m is the constant D = lcm of the two
+    e: D a_m and D b_m are Gaussian integers, and each step adds D A1/e to
+    them, with no rule call, gcd, lcm or Fraction.  Before that index (the
+    M-fraction's a_1 = b), and for every other rule,
+    r_m = lcm(den a_m, den b_m), each value taken as x = (re + i im)/den from
+    :func:`gaussian`; for int coefficients every r_m is 1.  Until an
+    imaginary part turns up, the step is the real one on ints alone.  A spec
+    with no rule has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step
+    is zero."""
     pr, pi, s = gaussian(spec.head)
     if spec.rule is None:
         yield from ((k, pr, pi, s, 0, 0 if k else s**4, s) for k in itertools.count())
     rule = spec.rule
+    forms = [getattr(f, "progression", None) for f in (rule.a, rule.b)]
+    start = math.inf  # the first k stepped on the progressions
+    if None not in forms:
+        start = max(rule.a.start, rule.b.start)
+        d = math.lcm(forms[0][4], forms[1][4])
+        # D a_k = xr + i xi and D b_k = yr + i yi at k = start, and their steps
+        (xr, xi, dxr, dxi), (yr, yi, dyr, dyi) = (
+            [c * (d // e) for c in (a0r + a1r * start, a0i + a1i * start, a1r, a1i)]
+            for a0r, a0i, a1r, a1i, e in forms)
     real = not pi
     ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
     a2, r_prev, k = s**4, 1, 0
     while True:
         yield k, pr, pi, qr, qi, a2, s
         k += 1
-        a, b = rule.a(k), rule.b(k)
-        if type(a) is int and type(b) is int:
-            ar, ai, br, bi, r = a, 0, b, 0, 1
+        if k >= start:
+            ar, ai, br, bi, r, s = xr, xi, yr, yi, d, s * d
+            xr, xi, yr, yi = xr + dxr, xi + dxi, yr + dyr, yi + dyi
         else:
-            (ar, ai, da), (br, bi, db) = gaussian(a), gaussian(b)
-            r = math.lcm(da, db)
-            if r != 1:
-                ra, rb, s = r // da, r // db, s * r
-                ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
+            a, b = rule.a(k), rule.b(k)
+            if type(a) is int and type(b) is int:
+                ar, ai, br, bi, r = a, 0, b, 0, 1
+            else:
+                (ar, ai, da), (br, bi, db) = gaussian(a), gaussian(b)
+                r = math.lcm(da, db)
+                if r != 1:
+                    ra, rb, s = r // da, r // db, s * r
+                    ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
         if not ar and not ai:
             raise ParameterError(f"partial numerator a_{k} is zero")
         if r_prev != 1:

@@ -9,8 +9,11 @@ complex-parameter families is linear in m, and :func:`_linear` builds each
 such rule from the paper's formula: it takes the two coefficients once, at
 build time, in the integer form (p + iq)/d of :func:`~cfx.kernel.gaussian`,
 and reduces each value once, to a Fraction when every parameter is real, else
-to a ComplexParam with one Fraction per part.  Finishers are Moebius matrices
-(:func:`~cfx.engine.mobius`).
+to a ComplexParam with one Fraction per part.  Each such rule also carries
+that cleared form, the progression (A0 + A1 m)/D with the index it holds
+from, and the engine steps on it by addition with the constant scale D; the
+M-fraction's partial numerator holds from m = 2, after its exception a_1 = b.
+Finishers are Moebius matrices (:func:`~cfx.engine.mobius`).
 
 The rational-exponent family deserves a note.  The printed closed form for
 e^{l/n} scales the inner fraction K by n inside the bracket denominator, but
@@ -88,16 +91,24 @@ def _linear(alpha, beta):
     """The rule m -> alpha + beta m for int, Fraction or ComplexParam alpha
     and beta, taken once over one denominator d as (p + iq)/d.  Each value is
     one reduced Fraction per part: a ComplexParam exactly when alpha or beta
-    is one, as ComplexParam arithmetic would give it, else a Fraction."""
+    is one, as ComplexParam arithmetic would give it, else a Fraction.
+
+    The rule also carries that cleared form, as the attributes ``progression``
+    = (Re, Im of d alpha, Re, Im of d beta, d) and ``start`` = 1, the first m
+    it holds for: :func:`~cfx.engine._raw_convergents` steps on it by adding
+    d beta, with no call and no Fraction per step."""
     (pa, qa, da), (pb, qb, db) = gaussian(alpha), gaussian(beta)
     d = math.lcm(da, db)
     pa, qa, pb, qb = pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)
     if not (isinstance(alpha, ComplexParam) or isinstance(beta, ComplexParam)):
-        return lambda m: Fraction(pa + pb * m, d)
-    if not qb:
+        rule = lambda m: Fraction(pa + pb * m, d)
+    elif not qb:
         im = Fraction(qa, d)
-        return lambda m: ComplexParam(Fraction(pa + pb * m, d), im)
-    return lambda m: ComplexParam(Fraction(pa + pb * m, d), Fraction(qa + qb * m, d))
+        rule = lambda m: ComplexParam(Fraction(pa + pb * m, d), im)
+    else:
+        rule = lambda m: ComplexParam(Fraction(pa + pb * m, d), Fraction(qa + qb * m, d))
+    rule.progression, rule.start = (pa, qa, pb, qb, d), 1
+    return rule
 
 
 def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
@@ -138,8 +149,10 @@ def make_m_fraction(b, z) -> ExpansionSpec:
         return ExpansionSpec(name=f"m-fraction(b={b},z=0)", head=1, rule=None)
     b, z = b.value, z.value
     a_rest = _linear(-z, z)
-    return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0, rule=CoefficientRule(
-        a=lambda m: b if m == 1 else a_rest(m), b=_linear(b - z - 1, 1)))
+    a = lambda m: b if m == 1 else a_rest(m)
+    a.progression, a.start = a_rest.progression, 2  # a_1 = b is the exception
+    return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
+                         rule=CoefficientRule(a=a, b=_linear(b - z - 1, 1)))
 
 
 def make_m_fraction_diagonal(z) -> ExpansionSpec:

@@ -190,20 +190,26 @@ def difference_formula(n: int, k: int) -> Fraction:
 
 def difference_rows(n: int, depth: int) -> Iterator[tuple[int, Fraction, Fraction, bool]]:
     """(k, C_k - C_{k-1}, closed form, n | raw numerator) of exp-n for
-    k = 1..depth, from the engine's raw convergents.
+    k = 1..depth, from the engine's raw table.
 
-    The closed form is :func:`difference_formula`, with n^{n+k+1} and
-    (n)_{k+1} kept as running integer products."""
-    convs = convergents(make_exp_n(n), depth)
+    exp-n's finisher (alpha, beta, 0, delta) maps P/Q to
+    (alpha P + beta Q)/(delta Q), so C_k - C_{k-1} is
+    alpha x_k/(delta Q_k Q_{k-1}) with x_k = P_k Q_{k-1} - P_{k-1} Q_k: one
+    Fraction per row, and no convergent reduced.  The closed form is
+    :func:`difference_formula`, with n^{n+k+1} and (n)_{k+1} kept as running
+    integer products."""
+    spec = make_exp_n(n)
+    alpha, _, _, delta = spec.mobius
+    table = raw_table(spec, depth)
     power, poch, fact = n ** (n + 1), n, factorial(n - 1)
     for k in range(1, depth + 1):
         power *= n
         poch *= n + k
-        # The unreduced numerator P_k Q_{k-1} - P_{k-1} Q_k of the engine's
-        # raw convergents is divisible by n.
-        raw = convs[k].p_raw * convs[k - 1].q_raw - convs[k - 1].p_raw * convs[k].q_raw
+        (p_prev, q_prev), (p, q) = table[k - 1], table[k]
+        # The unreduced numerator x_k of the raw convergents is divisible by n.
+        raw = p * q_prev - p_prev * q
         formula = -Fraction(power, fact * poch * (k + 1) * k)
-        yield k, convs[k].value - convs[k - 1].value, formula, raw % n == 0
+        yield k, Fraction(alpha * raw, delta * q * q_prev), formula, raw % n == 0
 
 
 def check_difference_formula(n: int, k_max: int) -> VerificationReport:

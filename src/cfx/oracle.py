@@ -120,6 +120,18 @@ def _lift(w: int, bits: int, n_norm: int, d_norm: int) -> int:
     return w + w // 2 + 2 - bits - (n_norm.bit_length() - d_norm.bit_length()) // 2
 
 
+def _sums_to_zero(a, b, z, terms: int) -> bool:
+    """Whether the first ``terms`` terms of the series of :func:`hyp_sum` add
+    up to exactly 0, in exact Gaussian-rational arithmetic."""
+    a, b = [ComplexParam.coerce(x) for x in a], [ComplexParam.coerce(x) for x in b]
+    z = ComplexParam.coerce(z)
+    term = total = 1
+    for k in range(terms - 1):
+        term = term * z * prod(x + k for x in a) / prod(y + k for y in b)
+        total += term
+    return total == 0
+
+
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
@@ -142,9 +154,13 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     (|t_k| + 2^(e-w)) rho_k/(1 - rho_k), the reported bound.  A sum whose
     largest term exceeds it by more digits than the guard can spare is redone
     with the guard raised by the digits lost, until it covers them; so is a
-    sum of under 10^(digits+1) units once a term falls below one unit.  The
-    ratio test cannot hold before k ~ 2|z|, so the term budget grows with |z|;
-    a sum that outruns it raises PrecisionError."""
+    sum of under 10^(digits+1) units once a term falls below one unit.  A
+    terminated series is not redone when its exact terms cancel
+    (:func:`_sums_to_zero`): no guard would cover that loss, since the sum
+    left is all rounding, so the value is 0 with tail bound 0.  The ratio
+    test cannot hold before k ~ 2|z|, so the term budget grows with |z|; a
+    sum that outruns it raises PrecisionError."""
+    params = a, b, z
     (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
@@ -214,9 +230,14 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
                     cut = _floor_log2(s2, ten2) // 2 + 2 if s2 else 0
                 if k > budget:
                     raise PrecisionError("series failed to converge")
-            # A zero sum of a terminated series is exact; any other is all rounding.
+            # A zero sum of a terminated series is exact.  A loss beyond the spare
+            # guard is redone, unless the terms of the terminated series cancel
+            # exactly: then the sum left is all rounding, and the value is 0.
             lost = (big - _mag(sr, si) - e + w) * log10(2) if sr or si or n_norm else 0
-            if tail and lost <= guard - _GUARD + _SPARE:
+            spare = guard - _GUARD + _SPARE
+            if lost > spare and not n_norm and _sums_to_zero(*params, k):
+                sr = si = lost = 0
+            if tail and lost <= spare:
                 value = mp.ldexp(mpf(sr), e - w)
                 if cplx:
                     value = mpc(value, mp.ldexp(mpf(si), e - w))

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from cfx.engine import (
     waadeland_limit,
 )
 from cfx.families import (
+    make_confluent_1f1,
     make_e_euler,
     make_exp_n,
     make_exp_n_shifted,
@@ -566,3 +568,62 @@ def test_singular_convergent_is_recorded_not_fatal():
     convs = convergents(spec, 3)
     assert convs[1].value is None
     assert convs[2].value is not None
+
+
+def _per_step(spec):
+    """The spec with its rule re-wrapped as plain lambdas, which carry no
+    progression: the engine then takes each coefficient from a rule call."""
+    rule = spec.rule
+    return replace(spec, rule=CoefficientRule(a=lambda m: rule.a(m), b=lambda m: rule.b(m)))
+
+
+# The families whose rules carry a Gaussian-integer progression: complex,
+# Gaussian-integer and real Fraction parameters, Re z < 0, b = z (Q_1 = 0),
+# and M-fractions whose a_1 = b is not the progression's value 0 at m = 1.
+PROGRESSION_SPECS = [
+    make_inc_gamma(ComplexParam(Fraction(-5, 2), Fraction(3, 4))),
+    make_inc_gamma(ComplexParam(2, 3)),
+    make_inc_gamma(Fraction(7, 3)),
+    make_confluent_1f1(ComplexParam(Fraction(-3, 2), -2)),
+    make_confluent_1f1(Fraction(1, 2)),
+    make_m_fraction_diagonal(ComplexParam(Fraction(-2), Fraction(1, 2))),
+    make_m_fraction_diagonal(3),
+    make_m_fraction(ComplexParam(Fraction(3, 4), -2), ComplexParam(Fraction(-5, 4), Fraction(1, 2))),
+    make_m_fraction(Fraction(1, 2), ComplexParam(2, 3)),
+    make_m_fraction(ComplexParam(1, 1), ComplexParam(1, 1)),
+    make_m_fraction(Fraction(-63, 2), 1),
+    make_m_fraction(Fraction(5, 3), Fraction(9, 4)),
+]
+
+
+@pytest.mark.parametrize("spec", PROGRESSION_SPECS, ids=lambda spec: spec.name)
+def test_progression_path_matches_the_per_step_path(spec):
+    assert hasattr(spec.rule.a, "progression") and hasattr(spec.rule.b, "progression")
+    plain = _per_step(spec)
+    # repr compares the types too: int or Fraction, and ComplexParam parts.
+    assert repr(raw_table(spec, 60)) == repr(raw_table(plain, 60))
+    assert repr(convergents(spec, 8)) == repr(convergents(plain, 8))
+    for digits in (10, 100, 300):
+        got, want = estimate_limit(spec, digits), estimate_limit(plain, digits)
+        assert got == want and type(got[0]) is type(want[0])
+
+
+def test_a_traced_rule_still_steps_on_its_progression():
+    # A tracer that rewraps each coefficient callable with functools.wraps
+    # keeps its attributes, so the engine still steps on the progression:
+    # the only rule calls are the M-fraction's exception a_1 and b_1.
+    calls = []
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def wrapper(m):
+            calls.append(m)
+            return fn(m)
+        return wrapper
+
+    for spec in (make_inc_gamma(ComplexParam(2, 3)),
+                 make_m_fraction(Fraction(1, 2), ComplexParam(Fraction(-5, 4), Fraction(1, 2)))):
+        traced = replace(spec, rule=type(spec.rule)(a=counted(spec.rule.a), b=counted(spec.rule.b)))
+        calls.clear()
+        assert estimate_limit(traced, 100) == estimate_limit(spec, 100)
+        assert calls == ([] if spec.rule.a.start == 1 else [1, 1])

@@ -247,6 +247,22 @@ def test_complex_rules_keep_complex_type_where_an_imaginary_part_cancels():
                            ComplexParam(Fraction(2), Fraction(1))).rule.b(1) == -1
 
 
+@pytest.mark.parametrize("spec", [
+    make_inc_gamma(ComplexParam(Fraction(-5, 2), Fraction(3, 4))),
+    make_confluent_1f1(Fraction(1, 3)),
+    make_m_fraction(Fraction(1, 2), ComplexParam(2, 3)),
+    make_m_fraction_diagonal(ComplexParam(Fraction(-2), Fraction(1, 2))),
+], ids=lambda spec: spec.name)
+def test_complex_rules_carry_their_progression(spec):
+    # From its start index on, each rule is (A0 + A1 m)/D with Gaussian-integer
+    # A0, A1; the M-fraction's a starts at 2, after its exception a_1 = b.
+    for f in (spec.rule.a, spec.rule.b):
+        a0r, a0i, a1r, a1i, d = f.progression
+        for m in range(f.start, 61):
+            assert f(m) == ComplexParam(Fraction(a0r + a1r * m, d), Fraction(a0i + a1i * m, d))
+    assert spec.rule.a.start == (2 if spec.name.startswith("m-fraction") else 1)
+
+
 def test_inc_gamma_rejects_cut():
     for z in (0, -3, Fraction(-1, 2)):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from cfx import identities, oracle
-from cfx.engine import convergents, estimate_limit
+from cfx.engine import convergents, estimate_limit, raw_table
 from cfx.families import (
     make_classical,
     make_confluent_1f1,
@@ -163,17 +163,18 @@ def test_difference_formula_passes_and_is_negative():
 def test_difference_formula_tests_the_raw_numerator(monkeypatch):
     # Reduced pairs leave every value, so every difference, unchanged; only
     # the divisibility of the raw numerator P_k Q_{k-1} - P_{k-1} Q_k by n
-    # can tell them from the engine's raw convergents.
+    # can tell them from the engine's raw table.
     def reduced(spec, depth):
-        return [
-            dataclasses.replace(c, p_raw=c.value.numerator, q_raw=c.value.denominator)
-            for c in convergents(spec, depth)
-        ]
+        pairs = [Fraction(p, q) for p, q in raw_table(spec, depth)]
+        return [(w.numerator, w.denominator) for w in pairs]
 
-    monkeypatch.setattr(identities, "convergents", reduced)
+    monkeypatch.setattr(identities, "raw_table", reduced)
+    rows = list(identities.difference_rows(2, 10))
+    assert all(direct == formula for _, direct, formula, _ in rows)
+    assert [k for k, _, _, divisible in rows if not divisible] == [2, 3, 4, 6, 7, 8]
     report = check_difference_formula(2, 10)
     assert not report.passed
-    assert report.actual == "mismatch at k=[7, 8]"
+    assert report.actual == "mismatch at k=[2, 3, 4, 6, 7]"
 
 
 def test_difference_formula_note_on_n1():

@@ -1,9 +1,17 @@
+import signal
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from cfx.kernel import ComplexParam, ParameterError, PrecisionError, factorial, to_mp
+from cfx.kernel import (
+    ComplexParam,
+    ParameterError,
+    PrecisionError,
+    factorial,
+    pochhammer,
+    to_mp,
+)
 from cfx.oracle import (
     beta_exp_integral,
     exp_rational_integral,
@@ -415,6 +423,40 @@ def test_complex_terminating_series_is_exact():
     result = hyp_sum((-40,), (1,), ComplexParam(1, Fraction(1, 3)), 20)
     with mp.workdps(60):
         _within_tail(result, mpf(3) ** -40, 20)
+
+
+def _within_seconds(seconds, fn, *args):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_terminating_series_with_exact_sum_zero_returns_zero():
+    # 1 - 4 + 36/7 - 18/7 + 3/7 = 0.  Every fixed-point sum leaves about one
+    # unit of rounding, which reads as a loss no guard covers; the exact terms
+    # decide that the sum is 0.
+    result = _within_seconds(5, hyp_2f2, 1, -4, 6, 1, 6, 8)
+    assert (result.value, result.tail_bound) == (0, 0)
+    assert type(result.value) is type(mpf(0))
+
+
+def test_terminating_series_with_a_tiny_sum_keeps_its_digits():
+    # At z = 6 + 10^-6 the same four terms leave about 4.8e-8: the guard is
+    # redone until it covers the cancellation, as for any nonzero sum.
+    z = 6 + Fraction(1, 10**6)
+    exact = sum(Fraction(pochhammer(-4, k), pochhammer(6, k) * factorial(k)) * z**k
+                for k in range(5))
+    result = _within_seconds(5, hyp_2f2, 1, -4, 6, 1, z, 8)
+    assert result.tail_bound == 0
+    with mp.workdps(40):
+        assert abs(result.value - to_mp(exact)) <= mpf(10) ** -8 * abs(to_mp(exact))
 
 
 def test_value_types_follow_the_arguments():
