@@ -15,11 +15,12 @@ Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
 and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
 Gaussian integer is a (re, im) pair of ints in local variables; while every
 imaginary part is zero, the step is the real one on ints alone.  A rule whose
-callables carry a ``progression`` (the complex-parameter families, through
+callables carry a ``progression`` (every affine family, through
 :func:`~cfx.families._linear`) is stepped on it: a_m = (A0 + A1 m)/D and
-b_m = (B0 + B1 m)/D over one D, from the index ``start`` on (2 for the
-M-fraction's a, whose a_1 = b is the exception), so each step adds A1 and B1
+b_m = (B0 + B1 m)/D over one D, from the index ``start`` on (2 after an
+exception at m = 1, as the M-fraction's a_1 = b), so each step adds A1 and B1
 with the constant scale r_m = D and makes no rule call, gcd or Fraction.
+Every other step clears the rule's values one by one.
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
@@ -159,10 +160,10 @@ def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
     :func:`~cfx.families._linear` attaches, and the index ``start`` it holds
     from, then from the larger start on r_m is the constant D = lcm of the two
     e: D a_m and D b_m are Gaussian integers, and each step adds D A1/e to
-    them, with no rule call, gcd, lcm or Fraction.  Before that index (the
-    M-fraction's a_1 = b), and for every other rule,
-    r_m = lcm(den a_m, den b_m), each value taken as x = (re + i im)/den from
-    :func:`gaussian`; for int coefficients every r_m is 1.  Until an
+    them, with no rule call, gcd, lcm or Fraction.  Before that index (an
+    exception at m = 1), and for every other rule (the periodic regular
+    fractions, :func:`equivalence_transform`), r_m = lcm(den a_m, den b_m),
+    each value taken as x = (re + i im)/den from :func:`gaussian`.  Until an
     imaginary part turns up, the step is the real one on ints alone.  A spec
     with no rule has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step
     is zero."""
@@ -189,15 +190,11 @@ def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
             ar, ai, br, bi, r, s = xr, xi, yr, yi, d, s * d
             xr, xi, yr, yi = xr + dxr, xi + dxi, yr + dyr, yi + dyi
         else:
-            a, b = rule.a(k), rule.b(k)
-            if type(a) is int and type(b) is int:
-                ar, ai, br, bi, r = a, 0, b, 0, 1
-            else:
-                (ar, ai, da), (br, bi, db) = gaussian(a), gaussian(b)
-                r = math.lcm(da, db)
-                if r != 1:
-                    ra, rb, s = r // da, r // db, s * r
-                    ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
+            (ar, ai, da), (br, bi, db) = gaussian(rule.a(k)), gaussian(rule.b(k))
+            r = math.lcm(da, db)
+            if r != 1:
+                ra, rb, s = r // da, r // db, s * r
+                ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
         if not ar and not ai:
             raise ParameterError(f"partial numerator a_{k} is zero")
         if r_prev != 1:

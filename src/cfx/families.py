@@ -4,15 +4,19 @@ converges to and an independent oracle for that constant.
 
 Every family runs in one exact ring, so identity checks against them are
 exact equalities.  A free complex parameter is stored exactly (as
-:class:`ComplexParam`).  Every partial numerator and denominator of the
-complex-parameter families is linear in m, and :func:`_linear` builds each
-such rule from the paper's formula: it takes the two coefficients once, at
-build time, in the integer form (p + iq)/d of :func:`~cfx.kernel.gaussian`,
-and reduces each value once, to a Fraction when every parameter is real, else
-to a ComplexParam with one Fraction per part.  Each such rule also carries
-that cleared form, the progression (A0 + A1 m)/D with the index it holds
-from, and the engine steps on it by addition with the constant scale D; the
-M-fraction's partial numerator holds from m = 2, after its exception a_1 = b.
+:class:`ComplexParam`).  Every rule but those of the three regular fixtures
+(e-regular, e-squared and e-one-over-M, whose partial denominators run in
+periodic blocks) is affine in m past at most one exception at m = 1, and
+:func:`_linear` builds each such rule from the paper's formula: it takes
+the two coefficients once, at build time, in the integer form (p + iq)/d of
+:func:`~cfx.kernel.gaussian`, and reduces each value once, to a Fraction when
+every parameter is real, else to a ComplexParam with one Fraction per part.
+Each such rule also carries that cleared form, the progression
+(A0 + A1 m)/D with the index it holds from (2 after an exception at m = 1,
+as the M-fraction's a_1 = b), and the engine steps on it by addition with the
+constant scale D.  The paper's e and e^n fractions are the incomplete-gamma
+fraction 1 + z + K(-z(m+z-1)/(m+2z+1)) at z = 1 (head 3, with the prefix 1
+folded in) and at z = n (with a finisher); :func:`_gamma_rule` is that rule.
 Finishers are Moebius matrices (:func:`~cfx.engine.mobius`).
 
 The rational-exponent family deserves a note.  The printed closed form for
@@ -45,15 +49,45 @@ from .engine import (
     mobius,
     waadeland_limit,
 )
-from .kernel import ComplexParam, ParameterError, cut_plane_point, factorial, gaussian
+from .kernel import ComplexParam, ParameterError, Scalar, cut_plane_point, factorial, gaussian
+
+
+def _linear(alpha, beta, first=None):
+    """The rule m -> alpha + beta m for int, Fraction or ComplexParam alpha
+    and beta, with the value ``first`` at m = 1 when it is given.  Each other
+    value is one reduced Fraction per part: a ComplexParam exactly when alpha
+    or beta is one, as ComplexParam arithmetic would give it, else a Fraction.
+
+    The rule carries alpha and beta cleared over one denominator d, as the
+    attributes ``progression`` = (Re, Im of d alpha, Re, Im of d beta, d) and
+    ``start``, the first m it holds for (2 with ``first``, else 1):
+    :func:`~cfx.engine._raw_convergents` steps on it by adding d beta, and
+    calls the rule only before ``start``."""
+    (pa, qa, da), (pb, qb, db) = gaussian(alpha), gaussian(beta)
+    d = math.lcm(da, db)
+    pa, qa, pb, qb = pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)
+    is_complex = isinstance(alpha, ComplexParam) or isinstance(beta, ComplexParam)
+    start = 1 if first is None else 2
+
+    def rule(m: int) -> Scalar:
+        if m < start:
+            return first
+        re = Fraction(pa + pb * m, d)
+        return ComplexParam(re, Fraction(qa + qb * m, d)) if is_complex else re
+
+    rule.progression, rule.start = (pa, qa, pb, qb, d), start
+    return rule
+
+
+def _gamma_rule(z) -> CoefficientRule:
+    """The rule K(-z(m+z-1)/(m+2z+1)) of the incomplete-gamma fraction
+    1 + z + K(...); e and e^n take it at z = 1 and z = n."""
+    return CoefficientRule(a=_linear(-z * (z - 1), -z), b=_linear(2 * z + 1, 1))
+
 
 def make_e_euler() -> ExpansionSpec:
-    """e = 3 - 1/4 - 2/5 - 3/6 - ..."""
-    return ExpansionSpec(
-        name="e-euler",
-        head=3,
-        rule=CoefficientRule(a=lambda m: -m, b=lambda m: m + 3),
-    )
+    """e = 3 - 1/4 - 2/5 - 3/6 - ..., the n = 1 case of :func:`make_exp_n`."""
+    return ExpansionSpec(name="e-euler", head=3, rule=_gamma_rule(1))
 
 
 def make_exp_n(n: int) -> ExpansionSpec:
@@ -62,12 +96,8 @@ def make_exp_n(n: int) -> ExpansionSpec:
         raise ParameterError("exp-n requires n >= 1")
     prefix = sum(Fraction(n**k, factorial(k)) for k in range(n))
     scale = Fraction(n ** (n - 1), factorial(n - 1))
-    return ExpansionSpec(
-        name=f"exp-n(n={n})",
-        head=1 + n,
-        rule=CoefficientRule(a=lambda m: -n * (m + n - 1), b=lambda m: m + 2 * n + 1),
-        mobius=mobius(scale, prefix),
-    )
+    return ExpansionSpec(name=f"exp-n(n={n})", head=1 + n, rule=_gamma_rule(n),
+                         mobius=mobius(scale, prefix))
 
 
 def make_exp_n_shifted(n: int) -> ExpansionSpec:
@@ -75,11 +105,8 @@ def make_exp_n_shifted(n: int) -> ExpansionSpec:
     Waadeland value -2(n+1)(1 - 1/Sigma_inf)."""
     if n < 1:
         raise ParameterError("exp-n-shifted requires n >= 1")
-    return ExpansionSpec(
-        name=f"exp-n-shifted(n={n})",
-        head=0,
-        rule=CoefficientRule(a=lambda m: -n * (m + n), b=lambda m: m + 2 * n + 2),
-    )
+    return ExpansionSpec(name=f"exp-n-shifted(n={n})", head=0,
+                         rule=CoefficientRule(a=_linear(-n * n, -n), b=_linear(2 * n + 2, 1)))
 
 
 def shifted_tail(n: int):
@@ -87,50 +114,16 @@ def shifted_tail(n: int):
     return lambda j: Fraction(-(j + n + 1) * (j + 2), j + 1)
 
 
-def _linear(alpha, beta):
-    """The rule m -> alpha + beta m for int, Fraction or ComplexParam alpha
-    and beta, taken once over one denominator d as (p + iq)/d.  Each value is
-    one reduced Fraction per part: a ComplexParam exactly when alpha or beta
-    is one, as ComplexParam arithmetic would give it, else a Fraction.
-
-    The rule also carries that cleared form, as the attributes ``progression``
-    = (Re, Im of d alpha, Re, Im of d beta, d) and ``start`` = 1, the first m
-    it holds for: :func:`~cfx.engine._raw_convergents` steps on it by adding
-    d beta, with no call and no Fraction per step."""
-    (pa, qa, da), (pb, qb, db) = gaussian(alpha), gaussian(beta)
-    d = math.lcm(da, db)
-    pa, qa, pb, qb = pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)
-    if not (isinstance(alpha, ComplexParam) or isinstance(beta, ComplexParam)):
-        rule = lambda m: Fraction(pa + pb * m, d)
-    elif not qb:
-        im = Fraction(qa, d)
-        rule = lambda m: ComplexParam(Fraction(pa + pb * m, d), im)
-    else:
-        rule = lambda m: ComplexParam(Fraction(pa + pb * m, d), Fraction(qa + qb * m, d))
-    rule.progression, rule.start = (pa, qa, pb, qb, d), 1
-    return rule
-
-
-def _complex_cf_spec(name: str, z: ComplexParam) -> ExpansionSpec:
-    """Spec for 1 + z + K(-z(m+z-1)/(m+2z+1))."""
-    z = z.value
-    return ExpansionSpec(
-        name=name,
-        head=1 + z,
-        rule=CoefficientRule(a=_linear(-z * (z - 1), -z), b=_linear(2 * z + 1, 1)),
-    )
-
-
 def make_inc_gamma(z) -> ExpansionSpec:
     """gamma(z,z)/(z^{z-1} e^{-z}) = 1 + z + K(-z(m+z-1)/(m+2z+1)) on the cut plane."""
     z = cut_plane_point(z)
-    return _complex_cf_spec(f"inc-gamma(z={z})", z)
+    return ExpansionSpec(f"inc-gamma(z={z})", 1 + z.value, _gamma_rule(z.value))
 
 
 def make_confluent_1f1(z) -> ExpansionSpec:
     """1F1(1; z+1; z), same fraction as the incomplete-gamma family."""
     z = cut_plane_point(z)
-    return _complex_cf_spec(f"confluent-1f1(z={z})", z)
+    return ExpansionSpec(f"confluent-1f1(z={z})", 1 + z.value, _gamma_rule(z.value))
 
 
 def make_m_fraction(b, z) -> ExpansionSpec:
@@ -148,11 +141,8 @@ def make_m_fraction(b, z) -> ExpansionSpec:
         # 1F1(1; b+1; 0) = 1: no K terms remain.
         return ExpansionSpec(name=f"m-fraction(b={b},z=0)", head=1, rule=None)
     b, z = b.value, z.value
-    a_rest = _linear(-z, z)
-    a = lambda m: b if m == 1 else a_rest(m)
-    a.progression, a.start = a_rest.progression, 2  # a_1 = b is the exception
     return ExpansionSpec(name=f"m-fraction(b={b},z={z})", head=0,
-                         rule=CoefficientRule(a=a, b=_linear(b - z - 1, 1)))
+                         rule=CoefficientRule(a=_linear(-z, z, first=b), b=_linear(b - z - 1, 1)))
 
 
 def make_m_fraction_diagonal(z) -> ExpansionSpec:
@@ -174,10 +164,7 @@ def make_rat_exp(l: int, n: int) -> ExpansionSpec:
     return ExpansionSpec(
         name=f"rat-exp(l={l},n={n})",
         head=0,
-        rule=CoefficientRule(
-            a=lambda m: -l * n * (m - 1 + l),
-            b=lambda m: n * (m + 1) + (n + 1) * l,
-        ),
+        rule=CoefficientRule(a=_linear(-l * n * (l - 1), -l * n), b=_linear(n + (n + 1) * l, n)),
         mobius=mobius(
             cf_coeff * (scale * base + prefix),
             scale * (base * shift - 1) + prefix * shift,
@@ -266,9 +253,9 @@ _CLASSICAL = (
     # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, 1, ...], triples (1, 2j+2, 1).
     Family("e-regular", (), lambda: _regular("e-regular", 2, ((1, 0), (2, 2), (1, 0))), **_E),
     Family("e-over", (), lambda: ExpansionSpec(
-        "e-over", 2, CoefficientRule(a=lambda m: m + 1, b=lambda m: m + 1)), **_E),
+        "e-over", 2, CoefficientRule(a=_linear(1, 1), b=_linear(1, 1))), **_E),
     Family("e-sporadic", (), lambda: ExpansionSpec("e-sporadic", 1, CoefficientRule(
-        a=lambda m: 2 if m == 1 else 1, b=lambda m: 1 if m == 1 else 4 * m - 2)), **_E),
+        a=_linear(1, 0, first=2), b=_linear(-2, 4, first=1))), **_E),
     # e^2 = [7; 3j+2, 1, 1, 3j+3, 12j+18], j = 0, 1, 2, ...
     Family("e-squared", (), lambda: _regular(
         "e-squared", 7, ((2, 3), (1, 0), (1, 0), (3, 3), (18, 12))), **_exp(lambda p: 2)),

@@ -531,6 +531,19 @@ def test_estimate_limit_m_fraction_large_real_z():
         assert abs(to_mp(value) - target) <= mpf(10) ** -8 * abs(target)
 
 
+@pytest.mark.xfail(strict=True, reason="open defect: the stopping test stops the M-fraction "
+                   "short near a negative half-integer b")
+def test_estimate_limit_m_fraction_negative_half_integer_b():
+    # 1F1(1; -61/2; 1): at 33, 36 and 40 digits two steps pass the stopping
+    # test at depths 20, 23 and 28, each a relative 6.0e-33 from the limit.
+    spec = make_m_fraction(Fraction(-63, 2), 1)
+    with mp.workdps(60):
+        target = mp.hyp1f1(1, mpf(-61) / 2, 1)
+        for digits in (33, 36, 40):
+            value, _ = estimate_limit(spec, digits)
+            assert abs(to_mp(value) - target) <= mpf(10) ** -33 * abs(target)
+
+
 def test_estimate_limit_constant_family():
     # Every step of the z = 0 M-fraction is zero: two small steps at depth 2.
     assert estimate_limit(make_m_fraction(3, 0), 50) == (1, 2)
@@ -579,8 +592,18 @@ def _per_step(spec):
 
 # The families whose rules carry a Gaussian-integer progression: complex,
 # Gaussian-integer and real Fraction parameters, Re z < 0, b = z (Q_1 = 0),
-# and M-fractions whose a_1 = b is not the progression's value 0 at m = 1.
+# M-fractions whose a_1 = b is not the progression's value 0 at m = 1, the
+# integer families (e and e^n as the incomplete-gamma rule at z = 1 and n,
+# the shifted, rational-exponent and e-over rules) and e-sporadic, whose
+# a_1 and b_1 are exceptions.
 PROGRESSION_SPECS = [
+    make_e_euler(),
+    *(make_exp_n(n) for n in range(1, 5)),
+    make_exp_n_shifted(2),
+    make_family("rat-exp", l=2, n=5),
+    make_family("exp-inv-n", n=3),
+    make_family("e-over"),
+    make_family("e-sporadic"),
     make_inc_gamma(ComplexParam(Fraction(-5, 2), Fraction(3, 4))),
     make_inc_gamma(ComplexParam(2, 3)),
     make_inc_gamma(Fraction(7, 3)),
@@ -603,7 +626,7 @@ def test_progression_path_matches_the_per_step_path(spec):
     # repr compares the types too: int or Fraction, and ComplexParam parts.
     assert repr(raw_table(spec, 60)) == repr(raw_table(plain, 60))
     assert repr(convergents(spec, 8)) == repr(convergents(plain, 8))
-    for digits in (10, 100, 300):
+    for digits in (10, 100, 1000):
         got, want = estimate_limit(spec, digits), estimate_limit(plain, digits)
         assert got == want and type(got[0]) is type(want[0])
 
@@ -611,7 +634,8 @@ def test_progression_path_matches_the_per_step_path(spec):
 def test_a_traced_rule_still_steps_on_its_progression():
     # A tracer that rewraps each coefficient callable with functools.wraps
     # keeps its attributes, so the engine still steps on the progression:
-    # the only rule calls are the M-fraction's exception a_1 and b_1.
+    # the only rule calls are the exceptions a_1 and b_1 of the M-fraction
+    # and of e-sporadic.
     calls = []
 
     def counted(fn):
@@ -621,7 +645,7 @@ def test_a_traced_rule_still_steps_on_its_progression():
             return fn(m)
         return wrapper
 
-    for spec in (make_inc_gamma(ComplexParam(2, 3)),
+    for spec in (make_inc_gamma(ComplexParam(2, 3)), make_e_euler(), make_family("e-sporadic"),
                  make_m_fraction(Fraction(1, 2), ComplexParam(Fraction(-5, 4), Fraction(1, 2)))):
         traced = replace(spec, rule=type(spec.rule)(a=counted(spec.rule.a), b=counted(spec.rule.b)))
         calls.clear()

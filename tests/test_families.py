@@ -15,6 +15,7 @@ from cfx.families import (
     make_e_euler,
     make_exp_inv_n,
     make_exp_n,
+    make_exp_n_shifted,
     make_family,
     make_inc_gamma,
     make_m_fraction,
@@ -228,6 +229,40 @@ def test_m_fraction_rule_matches_paper_formula(b, z):
         cases.append((make_m_fraction_diagonal(z), zc.value, zc.value))
     for spec, bv, zv in cases:
         _check_rule(spec, 0, lambda m: bv if m == 1 else (m - 1) * zv, lambda m: bv + (m - 1) - zv)
+
+
+def _printed_rules():
+    """(spec, head, a, b) of the integer-parameter families, each rule from
+    the paper's printed formula with the parameters taken as Fractions: every
+    value is a Fraction, but e-sporadic's a_1 = 2 and b_1 = 1 are ints."""
+    one = Fraction(1)
+    yield make_e_euler(), 3, lambda m: -m * one, lambda m: m + 3 * one
+    for n in range(1, 5):
+        yield (make_exp_n(n), 1 + n, lambda m, n=n * one: -n * (m + n - 1),
+               lambda m, n=n * one: m + 2 * n + 1)
+    yield (make_exp_n_shifted(2), 0, lambda m, n=2 * one: -n * (m + n),
+           lambda m, n=2 * one: m + 2 * n + 2)
+    for spec, l, n in ((make_rat_exp(2, 5), 2 * one, 5), (make_exp_inv_n(3), one, 3)):
+        yield (spec, 0, lambda m, l=l, n=n: -l * n * (m - 1 + l),
+               lambda m, l=l, n=n: n * (m + 1) + (n + 1) * l)
+    yield make_family("e-over"), 2, lambda m: m + one, lambda m: m + one
+    yield (make_family("e-sporadic"), 1, lambda m: 2 if m == 1 else one,
+           lambda m: 1 if m == 1 else 4 * m - 2 * one)
+
+
+@pytest.mark.parametrize("spec,head,a,b", [pytest.param(*r, id=r[0].name) for r in _printed_rules()])
+def test_integer_family_rules_match_printed_formulas(spec, head, a, b):
+    _check_rule(spec, head, a, b)
+
+
+def test_every_affine_family_carries_a_progression():
+    # Every family but the three periodic regular fixtures builds its rule
+    # with _linear, and so steps on a progression.
+    params = {"n": 3, "l": 2, "M": 3, "z": ComplexParam(2, 3), "b": Fraction(1, 2)}
+    for fid in FAMILY_IDS:
+        rule = make_family(fid, **params).rule
+        affine = fid not in ("e-regular", "e-squared", "e-one-over-M")
+        assert all(hasattr(f, "progression") == affine for f in (rule.a, rule.b)), fid
 
 
 def test_complex_rules_keep_complex_type_where_an_imaginary_part_cancels():
