@@ -18,9 +18,12 @@ imaginary part is zero, the step is the real one on ints alone.  A rule whose
 callables carry a ``progression`` (every affine family, through
 :func:`~cfx.families._linear`) is stepped on it: a_m = (A0 + A1 m)/D and
 b_m = (B0 + B1 m)/D over one D, from the index ``start`` on (2 after an
-exception at m = 1, as the M-fraction's a_1 = b), so each step adds A1 and B1
-with the constant scale r_m = D and makes no rule call, gcd or Fraction.
-Every other step clears the rule's values one by one.
+exception at m = 1, as the M-fraction's a_1 = b), so the cleared coefficients
+are counted up with the constant scale r_m = D, with no rule call, gcd or
+Fraction.  Every other step clears the rule's values one by one.  The loop
+can also advance many steps at once with no row in between (a run); a long
+real run is one 2x2 matrix from a balanced product tree of short stretches of
+the same steps (binary splitting, Haible & Papanikolaou 1998).
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
@@ -29,10 +32,14 @@ form has a nonzero imaginary part is a ComplexParam, and every other value an
 int or a Fraction.  :func:`estimate_limit` works on the pairs and
 reduces only at return.  Its stopping test rests on the determinant identity
 P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k: a float sum of the
-log2 |a_k|^2 bounds the step from below, so on the steps where raw bit
-lengths show that the test cannot pass it forms no Moebius image and no
-product, and the cross product of two consecutive images decides the few
-steps that bit lengths leave open.
+log2 |a_k|^2 bounds the step from below.  For a rule with a progression, an
+integer bound from the raw parts at k and k-1 and from the progression then
+proves a number of following steps not small, and the loop advances over
+them in one run; for any other rule, the steps whose raw bit lengths show
+that the test cannot pass form no Moebius image and no product.  Bit
+lengths decide most of the steps that are checked, the 64 leading bits of
+each magnitude most of the rest, and the cross product of two consecutive
+images the few that both leave open.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 from mpmath import mp
 
@@ -143,74 +150,187 @@ class Convergent:
     value: Optional[Scalar]
 
 
-def _raw_convergents(spec: ExpansionSpec) -> Iterator[tuple]:
-    """Yield (k, Re P'_k, Im P'_k, Re Q'_k, Im Q'_k, |a'_k|^2, s_k)
-    for k = 0, 1, ...: the Euler-Wallis recurrence of the equivalent fraction
-    whose head and coefficients are ints or Gaussian integers, stepped on
-    (re, im) int pairs.
-
-    With r_0 = 1 and a scale r_m > 0 that clears a_m and b_m it steps on
-    a'_m = r_m r_{m-1} a_m and b'_m = r_m b_m.  The head's denominator s_0
-    starts the vectors at (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0),
-    so P'_k = s_k P_k and Q'_k = s_k Q_k with the running scale
-    s_k = s_0 r_1...r_k, and a'_0 = s_0^2 makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.
-
-    When both of the rule's callables carry a ``progression``
-    (Re A0, Im A0, Re A1, Im A1, e), the cleared form x_m = (A0 + A1 m)/e that
+def _progression(rule: Optional[CoefficientRule]) -> Optional[tuple]:
+    """(start, D, A0, A1, B0, B1), each Gaussian integer as two ints, when
+    both of the rule's callables carry a ``progression`` (Re A0, Im A0,
+    Re A1, Im A1, e), the cleared form x_m = (A0 + A1 m)/e that
     :func:`~cfx.families._linear` attaches, and the index ``start`` it holds
-    from, then from the larger start on r_m is the constant D = lcm of the two
-    e: D a_m and D b_m are Gaussian integers, and each step adds D A1/e to
-    them, with no rule call, gcd, lcm or Fraction.  Before that index (an
-    exception at m = 1), and for every other rule (the periodic regular
-    fractions, :func:`equivalence_transform`), r_m = lcm(den a_m, den b_m),
-    each value taken as x = (re + i im)/den from :func:`gaussian`.  Until an
-    imaginary part turns up, the step is the real one on ints alone.  A spec
-    with no rule has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step
-    is zero."""
-    pr, pi, s = gaussian(spec.head)
-    if spec.rule is None:
-        yield from ((k, pr, pi, s, 0, 0 if k else s**4, s) for k in itertools.count())
-    rule = spec.rule
-    forms = [getattr(f, "progression", None) for f in (rule.a, rule.b)]
-    start = math.inf  # the first k stepped on the progressions
-    if None not in forms:
-        start = max(rule.a.start, rule.b.start)
-        d = math.lcm(forms[0][4], forms[1][4])
-        # D a_k = xr + i xi and D b_k = yr + i yi at k = start, and their steps
-        (xr, xi, dxr, dxi), (yr, yi, dyr, dyi) = (
-            [c * (d // e) for c in (a0r + a1r * start, a0i + a1i * start, a1r, a1i)]
-            for a0r, a0i, a1r, a1i, e in forms)
-    real = not pi
-    ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
-    a2, r_prev, k = s**4, 1, 0
-    while True:
-        yield k, pr, pi, qr, qi, a2, s
-        k += 1
-        if k >= start:
-            ar, ai, br, bi, r, s = xr, xi, yr, yi, d, s * d
-            xr, xi, yr, yi = xr + dxr, xi + dxi, yr + dyr, yi + dyi
-        else:
-            (ar, ai, da), (br, bi, db) = gaussian(rule.a(k)), gaussian(rule.b(k))
-            r = math.lcm(da, db)
-            if r != 1:
-                ra, rb, s = r // da, r // db, s * r
-                ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
+    from: then D a_m = A0 + A1 m and D b_m = B0 + B1 m for m >= start, over
+    D = the lcm of the two e.  Otherwise (or with no rule) None."""
+    if rule is None:
+        return None
+    fa, fb = getattr(rule.a, "progression", None), getattr(rule.b, "progression", None)
+    if fa is None or fb is None:
+        return None
+    d = math.lcm(fa[4], fb[4])
+    ra, rb = d // fa[4], d // fb[4]
+    return (max(rule.a.start, rule.b.start), d, fa[0] * ra, fa[1] * ra, fa[2] * ra, fa[3] * ra,
+            fb[0] * rb, fb[1] * rb, fb[2] * rb, fb[3] * rb)
+
+
+# A run of _TREE_MIN or more real steps is built as a balanced product tree of
+# _LEAF-step leaves; a shorter run, and every Gaussian run, steps in the
+# loop.  Chosen on the exact-deep benchmark items (1000 to 5000 digits,
+# in-process timing): leaves of 8, 16, 32 and 64 steps were within 4% of each
+# other, trees from 16 to 64 steps up within 1%, from 128 up 4% slower.
+_LEAF = 16
+_TREE_MIN = 64
+# estimate_limit looks for a run only where the two sides of the stopping test
+# are at least _RUN_BITS bits apart; nearer the stop the skip test is cheaper.
+# Chosen on the estimate_limit calls of the cli-burst and verify-suite
+# benchmarks (20 to 205 digits), where 128 read 11% slower than 1024, and on
+# exact-deep, where 512 to 1024 were fastest.
+_RUN_BITS = 1024
+# The leading-bit test is used where the right-hand side of the stopping test
+# has at least _LEADING_MIN bits (parts of about 256 bits); below that the
+# exact cross product costs no more (measured on random parts).
+_LEADING_MIN = 1024
+
+
+def _product(ms: list) -> tuple:
+    """M_1 M_2 ... M_n for 2x2 int matrices (m00, m01, m10, m11), multiplied
+    pairwise up a balanced tree."""
+    while len(ms) > 1:
+        pairs = iter(ms)
+        ms = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+              for (a, b, c, d), (e, f, g, h) in zip(pairs, pairs)] + ms[len(ms) & ~1:]
+    return ms[0]
+
+
+def _cleared(rule: CoefficientRule, stop, last: Optional[tuple] = None) -> Iterator[tuple]:
+    """(Re a'_k, Im a'_k, Re b'_k, Im b'_k, r_k) for k = 1 .. stop - 1 from
+    rule calls: r_k = lcm(den a_k, den b_k), a'_k = r_k r_{k-1} a_k and
+    b'_k = r_k b_k, each value taken as x = (re + i im)/den from
+    :func:`gaussian`.  Then, when ``last`` = (Re, Im of D a_k, Re, Im of
+    D b_k, D) is given for k = stop, that step, with a'_k = r_{k-1} D a_k."""
+    r_prev = 1
+    for k in itertools.count(1) if stop == math.inf else range(1, stop):
+        (ar, ai, da), (br, bi, db) = gaussian(rule.a(k)), gaussian(rule.b(k))
+        r = math.lcm(da, db)
+        if r != 1:
+            ra, rb = r // da, r // db
+            ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
         if not ar and not ai:
             raise ParameterError(f"partial numerator a_{k} is zero")
         if r_prev != 1:
             ar, ai = ar * r_prev, ai * r_prev
+        yield ar, ai, br, bi, r
         r_prev = r
+    if last is not None:
+        ar, ai, br, bi, r = last
+        if not ar and not ai:
+            raise ParameterError(f"partial numerator a_{stop} is zero")
+        yield ar * r_prev, ai * r_prev, br, bi, r
+
+
+def _zero_at(k: int) -> Iterator[tuple]:
+    """An iterator that raises at its first item: a'_k = 0."""
+    raise ParameterError(f"partial numerator a_{k} is zero")
+    yield
+
+
+def _coefficients(rule: CoefficientRule, form: Optional[tuple]) -> Iterator[tuple]:
+    """The cleared (Re a'_k, Im a'_k, Re b'_k, Im b'_k, r_k) for k = 1, 2, ...
+
+    With no progression every step comes from :func:`_cleared`.  With the
+    :func:`_progression` ``form``, so do the steps before its start; at the
+    start and after it r_k = D, and past the start a'_k = D (A0 + A1 k) and
+    b'_k = B0 + B1 k are counted up with no rule call, up to a zero a'_k,
+    where the iterator raises."""
+    if form is None:
+        return _cleared(rule, math.inf)
+    start, d, a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = form
+    j = start + 1
+    count = itertools.count
+    later = zip(count(d * (a0r + a1r * j), d * a1r), count(d * (a0i + a1i * j), d * a1i),
+                count(b0r + b1r * j, b1r), count(b0i + b1i * j, b1i), itertools.repeat(d))
+    # the first zero a'_k past the start: A0 + A1 k = 0 in both parts
+    a0, a1 = (a0r, a1r) if a1r or a0r else (a0i, a1i)
+    zero = -a0 // a1 if a1 and not a0 % a1 else None if a1 or a0 else j
+    if zero is not None and zero >= j and not (a0r + a1r * zero or a0i + a1i * zero):
+        later = itertools.chain(itertools.islice(later, zero - j), _zero_at(zero))
+    last = (a0r + a1r * start, a0i + a1i * start, b0r + b1r * start, b0i + b1i * start, d)
+    return itertools.chain(_cleared(rule, start, last), later)
+
+
+def _raw_convergents(spec: ExpansionSpec,
+                     form: Optional[tuple]) -> Generator[tuple, Optional[int], None]:
+    """Yield rows (k, Re P'_k, Im P'_k, Re Q'_k, Im Q'_k, Re P'_{k-1},
+    Im P'_{k-1}, Re Q'_{k-1}, Im Q'_{k-1}, la, an, s_k), starting at k = 0:
+    the Euler-Wallis recurrence of the equivalent fraction whose head and
+    coefficients are ints or Gaussian integers, stepped on (re, im) int pairs,
+    with ``form`` the rule's :func:`_progression`.  Iterating gives every k;
+    ``send(n)`` advances n steps at once (a run) and yields the row at its
+    end.  The product of |a'_j|^2 over the steps a row advanced is 2^la an:
+    an is |a'_k|^2 after one step, and a run multiplies at most _LEAF of them
+    into an int, adding log2 of each full product to la.
+
+    With r_0 = 1 and a scale r_m > 0 that clears a_m and b_m it steps on
+    a'_m = r_m r_{m-1} a_m and b'_m = r_m b_m, from :func:`_coefficients`.
+    The head's denominator s_0 starts the vectors at
+    (P'_{-1}, P'_0, Q'_{-1}, Q'_0) = (s_0, s_0 b_0, 0, s_0), so P'_k = s_k P_k
+    and Q'_k = s_k Q_k with the running scale s_k = s_0 r_1...r_k, and
+    a'_0 = s_0^2 makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  While every
+    imaginary part is zero, the step is the real one on ints alone.
+
+    A real run of _TREE_MIN or more steps on the progression is one 2x2
+    matrix.  Its leaves are stretches of _LEAF of the same steps, each run
+    from the identity (P'_k, P'_{k-1}, Q'_k, Q'_{k-1}) = (1, 0, 0, 1), which
+    leaves there the rows of the stretch's matrix; :func:`_product`
+    multiplies them, and the run's end applies the product to both columns,
+    so it gives P'_{k-1} and Q'_{k-1} as well.  Every other run is the same
+    steps with no row in between.  A spec with no rule has P_k = head,
+    Q_k = 1 and a_k = 0 for k >= 1: every step is zero."""
+    pr, pi, s = gaussian(spec.head)
+    if spec.rule is None:
+        n, k = (yield 0, pr, pi, s, 0, s, 0, 0, 0, 0.0, s**4, s), 0
+        while True:
+            k += n or 1
+            n = yield k, pr, pi, s, 0, pr, pi, s, 0, 0.0, 0, s
+    start, treeable = (form[0], not any(form[3::2])) if form else (math.inf, False)
+    real = not pi
+    ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
+    k, end, tree, leaf, tree_min, log2 = 0, 0, False, _LEAF, _TREE_MIN, math.log2
+    n = yield 0, pr, pi, qr, qi, ppr, ppi, qpr, qpi, 0.0, s**4, s
+    for ar, ai, br, bi, r in _coefficients(spec.rule, form):
+        if n:  # a run to k + n: an holds the product of |a'_j|^2 up to mark
+            end, la, an, n = k + n, 0.0, 1, None
+            mark = min(k + leaf, end)
+            tree = end - k >= tree_min and k >= start and real and treeable
+            if tree:
+                column, leaves = (pr, ppr, qr, qpr), []
+                pr, ppr, qr, qpr = 1, 0, 0, 1
+        k += 1
+        s *= r
         if real and not ai and not bi:
             ppr, pr = pr, br * pr + ar * ppr
             qpr, qr = qr, br * qr + ar * qpr
             a2 = ar * ar
+        else:
+            real = False
+            pr, pi, ppr, ppi = (br * pr - bi * pi + ar * ppr - ai * ppi,
+                                br * pi + bi * pr + ar * ppi + ai * ppr, pr, pi)
+            qr, qi, qpr, qpi = (br * qr - bi * qi + ar * qpr - ai * qpi,
+                                br * qi + bi * qr + ar * qpi + ai * qpr, qr, qi)
+            a2 = ar * ar + ai * ai
+        if not end:
+            n = yield k, pr, pi, qr, qi, ppr, ppi, qpr, qpi, 0.0, a2, s
             continue
-        real = False
-        pr, pi, ppr, ppi = (br * pr - bi * pi + ar * ppr - ai * ppi,
-                            br * pi + bi * pr + ar * ppi + ai * ppr, pr, pi)
-        qr, qi, qpr, qpi = (br * qr - bi * qi + ar * qpr - ai * qpi,
-                            br * qi + bi * qr + ar * qpi + ai * qpr, qr, qi)
-        a2 = ar * ar + ai * ai
+        an *= a2
+        if k != mark:
+            continue
+        if tree:
+            leaves.append((pr, ppr, qr, qpr))
+            pr, ppr, qr, qpr = 1, 0, 0, 1
+        if k != end:
+            la, an, mark = la + log2(an), 1, min(k + leaf, end)
+            continue
+        if tree:
+            (m00, m01, m10, m11), (p, pp, q, qp) = _product(leaves), column
+            pr, ppr = p * m00 + pp * m10, p * m01 + pp * m11
+            qr, qpr = q * m00 + qp * m10, q * m01 + qp * m11
+        end = 0
+        n = yield k, pr, pi, qr, qi, ppr, ppi, qpr, qpi, la, an, s
 
 
 def _image(m: tuple, pr: int, pi: int, qr: int, qi: int) -> tuple[int, int, int, int]:
@@ -246,19 +366,20 @@ def _rows(spec: ExpansionSpec, depth: int) -> Iterator[tuple]:
     """The rows k = 0..depth (inclusive) of :func:`_raw_convergents`."""
     if depth < 0:
         raise ParameterError("depth must be >= 0")
-    return itertools.islice(_raw_convergents(spec), depth + 1)
+    return itertools.islice(_raw_convergents(spec, _progression(spec.rule)), depth + 1)
 
 
 def raw_table(spec: ExpansionSpec, depth: int) -> list[tuple[Scalar, Scalar]]:
     """The raw (P_k, Q_k) of the fraction as given, k = 0..depth (inclusive);
     no convergent is formed or reduced."""
-    return [(_unscaled(pr, pi, s), _unscaled(qr, qi, s)) for _, pr, pi, qr, qi, _, s in _rows(spec, depth)]
+    return [(_unscaled(pr, pi, s), _unscaled(qr, qi, s))
+            for _, pr, pi, qr, qi, _, _, _, _, _, _, s in _rows(spec, depth)]
 
 
 def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
     """Convergents 0..depth (inclusive)."""
     out = []
-    for k, pr, pi, qr, qi, _, s in _rows(spec, depth):
+    for k, pr, pi, qr, qi, _, _, _, _, _, _, s in _rows(spec, depth):
         nr, ni, dr, di = _image(spec.mobius, pr, pi, qr, qi)
         singular = not (qr or qi) or not (dr or di)
         value = None if singular else _quotient(nr, ni, dr, di)
@@ -326,6 +447,77 @@ class TailSequence:
         return self.t(j - 1) * (rule.b(j) + self.t(j)) == rule.a(j)
 
 
+def _log2_norm(re: int, im: int) -> float:
+    """log2(re^2 + im^2) from the 64 leading bits of the larger part, to a
+    relative 2^-50 of re^2 + im^2; -inf for 0."""
+    shift = max(re.bit_length(), im.bit_length()) - 64
+    if shift > 0:
+        re, im = re >> shift, im >> shift
+    else:
+        shift = 0
+    return math.log2(re * re + im * im) + 2 * shift if re or im else -math.inf
+
+
+def _cross_small(nr: int, ni: int, dr: int, di: int, npr: int, npi: int, dpr: int, dpi: int,
+                 scale: int, tol: int) -> bool:
+    """The exact stopping test |x_k| 10^d < |den_{k-1}| max(|num_k|, |den_k|)
+    for x_k = num_k den_{k-1} - num_{k-1} den_k, scale = 10^d and
+    tol = scale^2: on |.| with no squares when every imaginary part is zero,
+    else on squared magnitudes."""
+    if not (ni or di or npi or dpi):
+        return abs(nr * dpr - npr * dr) * scale < abs(dpr) * max(abs(nr), abs(dr))
+    xr = nr * dpr - ni * dpi - npr * dr + npi * di
+    xi = nr * dpi + ni * dpr - npr * di - npi * dr
+    return ((xr * xr + xi * xi) * tol
+            < (dpr * dpr + dpi * dpi) * max(nr * nr + ni * ni, dr * dr + di * di))
+
+
+def _certified_run(form: tuple, k: int, slack: int) -> int:
+    """The number of steps after k that provably cannot be small, for the
+    progression ``form`` of :func:`_progression` (k >= its start) and the
+    bit budget ``slack`` of :func:`estimate_limit`: the largest n with
+    n cost(n) <= slack, where cost(n) = bits(c^4) - (bits(|a'_{k+1}|^2) - 1)
+    bounds the bits that each step of a run of n uses up.
+
+    Here a'_j = D (A0 + A1 j) and b'_j = B0 + B1 j, so each part of either
+    is affine in j, and its largest magnitude over k+1..k+n is at one of the
+    ends: c_j = |a'_j|_1 + |b'_j|_1 <= c, the sum of those four largest parts,
+    and 4 log2 c_j < bits(c^4).  |a'_j|^2 is a convex quadratic in j; a run is
+    taken only where it does not fall (its rise from k+1 to k+2 is >= 0), so
+    2^(bits(|a'_{k+1}|^2) - 1) <= |a'_j|^2 on the whole run, and a zero a'_j
+    ends every run before it.  cost(n) does not fall as n grows, so
+    n cost(n) <= slack holds up to the answer and fails past it: a few
+    evaluations of cost bracket the answer and a bisection finds it."""
+    _, d, a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = form
+    j = k + 1
+    ur, ui, vr, vi = d * (a0r + a1r * j), d * (a0i + a1i * j), d * a1r, d * a1i
+    a2 = ur * ur + ui * ui
+    if slack <= 0 or not a2 or 2 * (ur * vr + ui * vi) + vr * vr + vi * vi < 0:
+        return 0
+    gain = a2.bit_length() - 1  # log2 |a'_j|^2 >= gain on the whole run
+    wr, wi = b0r + b1r * j, b0i + b1i * j
+
+    def cost(n):  # -g for a run of n steps
+        e = n - 1
+        c = (max(abs(ur), abs(ur + e * vr)) + max(abs(ui), abs(ui + e * vi))
+             + max(abs(wr), abs(wr + e * b1r)) + max(abs(wi), abs(wi + e * b1i)))
+        return (c**4).bit_length() - gain
+
+    # n cost(n) <= slack holds up to some n and fails past it, as cost(n)
+    # does not fall; it holds at lo, and no n past hi can satisfy it.
+    hi = slack // cost(1)
+    lo = min(hi, slack // cost(hi)) if hi else 0
+    if lo:
+        hi = min(hi, slack // cost(lo))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid * cost(mid) <= slack:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int]:
     """Iterate convergents until two consecutive steps move by < 10^-digits.
 
@@ -341,32 +533,61 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
 
     By the determinant identity |x_k| = |D_k| for D_k = det M a'_0...a'_k, and
     |D_k| never falls, since |a'_j| >= 1 for a nonzero Gaussian integer.  No
-    product is kept: ``log_step`` sums log2 det(M)^2 and each log2 |a'_j|^2 in
-    floats.  Each of the k + 2 terms is within about an ulp, and recursive
-    summation adds at most (k + 1) 2^-53 log_step, so log_step is within
-    err = (k + 2)(log_step + 1) 2^-52 of log2 |D_k|^2: for e-euler at the depth
-    cap of 10^6, under 0.01 bit.  The rules below allow err plus one bit.
+    product is kept: ``log_step`` is a float sum of log2 det(M)^2 and of
+    log2 of integers x >= 1, each the product of |a'_j|^2 over one or more
+    consecutive steps (the steps since the last check, or at most _LEAF
+    steps of a run), T <= k + 2 terms in all.  math.log2 of an int is within
+    2^-52 (1 + log2 x) of log2 x (the int rounded to a double, then log2
+    within an ulp), and each addition of terms >= 0 rounds by at most
+    2^-53 log_step, so log_step is within err = (k + 2)(log_step + 1) 2^-52 of
+    log2 |D_k|^2: for e-euler at the depth cap of 10^6, under 0.01 bit.
 
-    - Skip.  After a check finds a step not small, with mb the largest bit
-      length of the Moebius entries, let
-      X = floor((log_step - 1 - err + floor(log2 10^2d) - 6)/4) - mb.  While
-      every part of the raw P', Q' at both k and k-1 has at most X bits, every
-      part of num_k, den_k and den_{k-1} is below 2^(X+mb+1), so the right-hand
-      side is below 2^(4(X+mb)+6) <= |D_k|^2 10^2d: the step is not small.  It
+    - Check.  The images at k and k-1 are formed.  A singular convergent
+      (raw Q' = 0 or a zero image denominator) at either takes no test and
+      resets the streak.  log_step and the bit lengths of the image parts
+      decide (with e the larger bit length of a value's parts,
+      2^(e-1) <= |x| < 2^(e+1)) unless the two sides are within 10 + err
+      bits.  Then, where the right-hand side has _LEADING_MIN bits or more,
+      log2 of each magnitude from its 64 leading bits (:func:`_log2_norm`)
+      decides unless the sides are within err + 10^-6 bits, which covers
+      those logs' relative 2^-50 and the float sums for sides below 2^30
+      bits.  Only then does x_k decide exactly (:func:`_cross_small`).
+      A zero det M or a'_j (a spec with no rule) makes log_step -inf and
+      every nonsingular step small.
+    - Run.  For a rule with a :func:`_progression`, a check that finds the
+      step not small with the two sides at least _RUN_BITS bits apart leads
+      to a run: at once if k is at least the progression's start, else after
+      the checks up to it.  Let mb be the largest bit length of the Moebius
+      entries, mu_k the largest |Re| + |Im| of P'_k, P'_{k-1}, Q'_k, Q'_{k-1}
+      (below 2^u, u their largest bit length, plus 1 when one is not real)
+      and c_j = |a'_j|_1 + |b'_j|_1.  Since |xy|_1 <= |x|_1 |y|_1,
+      mu_j <= c_j mu_{j-1}, and every part of an image at j or j-1 is below
+      2^(mb+1) mu_j, so the right-hand side at j is below 2^(4(mb+1)) mu_j^4.
+      Step j > k is therefore not small when
+      4(mb + 1 + u + sum_{i=k+1..j} log2 c_i) <= log_step - err + tol_bits
+      + sum_{i=k+1..j} log2 |a'_i|^2, with tol_bits = floor(log2 10^2d).
+      :func:`_certified_run` gives the n steps after k that this proves not
+      small, for slack = floor(log_step - err - 1) + tol_bits - 4(mb + 1 + u),
+      at most depth_cap() - k.  The walk advances them at once (a product
+      tree for a long real run), and the loop goes on with step k + n + 1,
+      which is checked.  Every step in the run would only have reset the
+      streak, which is 0 after the run too, and that check sees the same
+      pairs at k + n + 1 and k + n as step by step: no depth or value moves.
+    - Skip.  After any other check that finds a step not small, let
+      X = floor((log_step - 1 - err + tol_bits - 6)/4) - mb.  While every part
+      of the raw P', Q' at both k and k-1 has at most X bits, every part of
+      num_k, den_k and den_{k-1} is below 2^(X+mb+1), so the right-hand side
+      is below 2^(4(X+mb)+6) <= |D_k|^2 10^2d: the step is not small.  It
       resets the streak and forms no image and no product.  No step is
       skipped before the first such check.
-    - Check.  Otherwise the images at k and k-1 are formed.  A singular
-      convergent (raw Q' = 0 or a zero image denominator) at either takes no
-      test and resets the streak.  log_step and the bit lengths of the image
-      parts decide (with e the larger bit length of a value's parts,
-      2^(e-1) <= |x| < 2^(e+1)) unless the two sides are within 10 + err
-      bits; then x_k decides exactly, on |.| with no squares when every
-      imaginary part is zero.  A zero det M or a'_j (a spec with no
-      rule) makes log_step -inf and every nonsingular step small.
 
     Returns the reduced Fraction when the image's cleared imaginary parts are
-    zero; otherwise the limit is rounded once, to an mpc when it is non-real,
-    at target_digits + max(10, target_digits // 4) digits.
+    zero.  Otherwise the limit is the exact Gaussian rational num_k/den_k,
+    reduced, converted by :meth:`~cfx.kernel.ComplexParam.to_mp` at
+    target_digits + max(10, target_digits // 4) digits: each part's reduced
+    numerator is rounded to that precision and then divided by its
+    denominator, so the part is rounded twice, not once.  The result is an
+    mpc when the limit is non-real.
     """
     cap = depth_cap()
     scale = 10**target_digits
@@ -377,22 +598,25 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     det = alpha * delta - beta * gamma
     mb = max(x.bit_length() for x in m)
     log_step = math.log2(det * det) if det else -math.inf  # ~ log2 |D_k|^2
+    form = _progression(spec.rule)
     lo = hi = 0  # (-2^X, 2^X): a step whose raw parts lie in it at k and k-1 is skipped
-    prev, prev_in = (-1, 1, 0, 0, 0), False  # raw k-1: P_{-1} = 1, Q_{-1} = 0 is singular
+    prev_in = False
     small_streak = 0
-    for raw in _raw_convergents(spec):
-        k, pr, pi, qr, qi, a2, _ = raw
+    walk = _raw_convergents(spec, form)
+    held = 1  # the product of |a'_j|^2 not yet in log_step
+    for k, pr, pi, qr, qi, ppr, ppi, qpr, qpi, _, an, _ in walk:
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
-        log_step += math.log2(a2) if a2 else -math.inf
+        held *= an
         cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
         if cur_in and prev_in:  # not small, provably: no image, no product
             small_streak = 0
-            prev = raw
             continue
+        log_step += math.log2(held) if held else -math.inf
+        held = 1
         nr, ni, dr, di = _image(m, pr, pi, qr, qi)
-        npr, npi, dpr, dpi = _image(m, *prev[1:5])
-        if not ((qr or qi) and (dr or di) and (prev[3] or prev[4]) and (dpr or dpi)):
+        npr, npi, dpr, dpi = _image(m, ppr, ppi, qpr, qpi)
+        if not ((qr or qi) and (dr or di) and (qpr or qpi) and (dpr or dpi)):
             small = False  # C_k or C_{k-1} is singular: no test
         elif log_step == -math.inf:
             small = True  # det M or an a'_j is zero: x_k = 0
@@ -403,23 +627,39 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
                        + max(nr.bit_length(), ni.bit_length(), dr.bit_length(), di.bit_length()))
             if abs(lhs - rhs) >= 10 + err:
                 small = lhs < rhs
-            elif not (ni or di or npi or dpi):  # real: the same test on |.|, no squares
-                small = (abs(nr * dpr - npr * dr) * scale
-                         < abs(dpr) * max(abs(nr), abs(dr)))
             else:
-                xr = nr * dpr - ni * dpi - npr * dr + npi * di
-                xi = nr * dpi + ni * dpr - npr * di - npi * dr
-                small = ((xr * xr + xi * xi) * tol
-                         < (dpr * dpr + dpi * dpi) * max(nr * nr + ni * ni, dr * dr + di * di))
+                side = 0.0  # lhs - rhs from the leading bits, where worth forming
+                if rhs >= _LEADING_MIN:
+                    side = (log_step + math.log2(tol) - _log2_norm(dpr, dpi)
+                            - max(_log2_norm(nr, ni), _log2_norm(dr, di)))
+                if abs(side) > err + 1e-6:
+                    small = side < 0
+                else:
+                    small = _cross_small(nr, ni, dr, di, npr, npi, dpr, dpi, scale, tol)
             if not small:
-                x_bits = math.floor((log_step - 1 - err + tol_bits - 6) / 4) - mb
-                hi = 1 << x_bits if x_bits > 0 else 0
-                lo = -hi
-                cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
+                # a run now, or at the progression's start; else the skip test
+                soon = form is not None and lhs - rhs >= _RUN_BITS
+                run = 0
+                if soon and k >= form[0]:
+                    u = max(pr.bit_length(), qr.bit_length(), ppr.bit_length(), qpr.bit_length())
+                    if pi or qi or ppi or qpi:
+                        u = 1 + max(u, pi.bit_length(), qi.bit_length(), ppi.bit_length(),
+                                    qpi.bit_length())
+                    slack = math.floor(log_step - err - 1) + tol_bits - 4 * (mb + 1 + u)
+                    run = min(_certified_run(form, k, slack), cap - k)
+                if run:  # steps k+1..k+run at once; the loop checks k+run+1
+                    la, an = walk.send(run)[9:11]
+                    log_step += la + math.log2(an)
+                    cur_in = False  # the next row's k-1 is k+run, not k
+                elif not soon or k >= form[0]:
+                    x_bits = math.floor((log_step - 1 - err + tol_bits - 6) / 4) - mb
+                    hi = 1 << x_bits if x_bits > 0 else 0
+                    lo = -hi
+                    cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
         small_streak = small_streak + 1 if small else 0
         if small_streak >= 2:
             break
-        prev, prev_in = raw, cur_in
+        prev_in = cur_in
     value = _quotient(nr, ni, dr, di)
     if not isinstance(value, ComplexParam):
         return value, k

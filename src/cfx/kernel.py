@@ -174,7 +174,10 @@ class ComplexParam:
         return self.is_real and self.re <= 0 and self.re.denominator == 1
 
     def to_mp(self) -> Scalar:
-        """mpf/mpc at the ambient mpmath precision."""
+        """mpf/mpc at the ambient mpmath precision: an mpf when the number is
+        real.  Each part's reduced numerator is rounded to that precision
+        first and then divided by its denominator, so a part is rounded
+        twice; the correctly rounded quotient can differ in the last bit."""
         re_v = mpf(self.re.numerator) / self.re.denominator
         if self.is_real:
             return re_v
@@ -226,7 +229,11 @@ def cut_plane_point(z) -> ComplexParam:
 
 
 def to_mp(x: Scalar) -> Scalar:
-    """Convert exact values to mpf at ambient precision; pass floats through."""
+    """Convert exact values to mpf at ambient precision; pass floats through.
+
+    A Fraction's numerator is rounded to the precision first and then divided
+    by its denominator, as in :meth:`ComplexParam.to_mp`: two roundings, not
+    the correctly rounded quotient."""
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     if isinstance(x, int):
