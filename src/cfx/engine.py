@@ -15,15 +15,16 @@ Applications*, 1992): it steps on ints or Gaussian integers, on P'_k = s_k P_k
 and Q'_k = s_k Q_k for a running scale s_k, and no convergent changes.  A
 Gaussian integer is a (re, im) pair of ints in local variables; while every
 imaginary part is zero, the step is the real one on ints alone.  A rule whose
-callables carry a ``progression`` (every affine family, through
-:func:`~cfx.families._linear`) is stepped on it: a_m = (A0 + A1 m)/D and
-b_m = (B0 + B1 m)/D over one D, from the index ``start`` on (2 after an
-exception at m = 1, as the M-fraction's a_1 = b), so the cleared coefficients
-are counted up with the constant scale r_m = D, with no rule call, gcd or
-Fraction.  Every other step clears the rule's values one by one.  The loop
-can also advance many steps at once with no row in between (a run); a long
-real run is one 2x2 matrix from a balanced product tree of short stretches of
-the same steps (binary splitting, Haible & Papanikolaou 1998).
+callables carry a ``progression`` (every registry family, through
+:func:`~cfx.families._linear`) is stepped on it: a_m = (A0_R + A1_R J)/D and
+b_m = (B0_R + B1_R J)/D for m = p J + R over one D, from the index ``start``
+on (2 after an exception at m = 1, as the M-fraction's a_1 = b), so the
+cleared coefficients are counted up, one stream per residue R in turn, with
+the constant scale r_m = D and no rule call, gcd or Fraction.  Any other
+rule (an equivalence transform) is cleared value by value.  The loop can
+also advance many steps at once with no row in between (a run); a long real
+run is one 2x2 matrix from a balanced product tree of short stretches of the
+same steps (binary splitting, Haible & Papanikolaou 1998).
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
@@ -151,21 +152,28 @@ class Convergent:
 
 
 def _progression(rule: Optional[CoefficientRule]) -> Optional[tuple]:
-    """(start, D, A0, A1, B0, B1), each Gaussian integer as two ints, when
-    both of the rule's callables carry a ``progression`` (Re A0, Im A0,
-    Re A1, Im A1, e), the cleared form x_m = (A0 + A1 m)/e that
-    :func:`~cfx.families._linear` attaches, and the index ``start`` it holds
-    from: then D a_m = A0 + A1 m and D b_m = B0 + B1 m for m >= start, over
-    D = the lcm of the two e.  Otherwise (or with no rule) None."""
+    """(start, D, pieces) when both of the rule's callables carry the
+    ``progression`` (e, pieces) of :func:`~cfx.families._linear`, the form
+    x_m = (A0_r + A1_r j)/e for m = q j + r, q = len(pieces), from the index
+    ``start`` on, else (or with no rule) None.  The two are merged to the
+    period p = lcm of the q, over D = lcm of the e: D a_m = A0 + A1 J and
+    D b_m = B0 + B1 J for m = p J + R, with pieces[R] = (Re A0, Im A0,
+    Re A1, Im A1, Re B0, Im B0, Re B1, Im B1)."""
     if rule is None:
         return None
     fa, fb = getattr(rule.a, "progression", None), getattr(rule.b, "progression", None)
     if fa is None or fb is None:
         return None
-    d = math.lcm(fa[4], fb[4])
-    ra, rb = d // fa[4], d // fb[4]
-    return (max(rule.a.start, rule.b.start), d, fa[0] * ra, fa[1] * ra, fa[2] * ra, fa[3] * ra,
-            fb[0] * rb, fb[1] * rb, fb[2] * rb, fb[3] * rb)
+    (ea, pa), (eb, pb) = fa, fb
+    qa, qb = len(pa), len(pb)
+    d, p = math.lcm(ea, eb), math.lcm(qa, qb)
+    fa, fb, sa, sb = d // ea, d // eb, p // qa, p // qb
+    pieces = []
+    for r in range(p):  # m = p J + r is m = q (J p/q + r // q) + r % q
+        (x0, y0, x1, y1), ja, (u0, v0, u1, v1), jb = pa[r % qa], r // qa, pb[r % qb], r // qb
+        pieces.append((fa * (x0 + x1 * ja), fa * (y0 + y1 * ja), fa * sa * x1, fa * sa * y1,
+                       fb * (u0 + u1 * jb), fb * (v0 + v1 * jb), fb * sb * u1, fb * sb * v1))
+    return max(rule.a.start, rule.b.start), d, pieces
 
 
 # A run of _TREE_MIN or more real steps is built as a balanced product tree of
@@ -234,22 +242,31 @@ def _coefficients(rule: CoefficientRule, form: Optional[tuple]) -> Iterator[tupl
 
     With no progression every step comes from :func:`_cleared`.  With the
     :func:`_progression` ``form``, so do the steps before its start; at the
-    start and after it r_k = D, and past the start a'_k = D (A0 + A1 k) and
-    b'_k = B0 + B1 k are counted up with no rule call, up to a zero a'_k,
-    where the iterator raises."""
+    start and after it r_k = D, and past the start a'_k = D (A0 + A1 J) and
+    b'_k = B0 + B1 J for k = p J + R are counted up with no rule call, one
+    stream per residue R, taken in turn, up to a zero a'_k, where the
+    iterator raises."""
     if form is None:
         return _cleared(rule, math.inf)
-    start, d, a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = form
-    j = start + 1
-    count = itertools.count
-    later = zip(count(d * (a0r + a1r * j), d * a1r), count(d * (a0i + a1i * j), d * a1i),
-                count(b0r + b1r * j, b1r), count(b0i + b1i * j, b1i), itertools.repeat(d))
-    # the first zero a'_k past the start: A0 + A1 k = 0 in both parts
-    a0, a1 = (a0r, a1r) if a1r or a0r else (a0i, a1i)
-    zero = -a0 // a1 if a1 and not a0 % a1 else None if a1 or a0 else j
-    if zero is not None and zero >= j and not (a0r + a1r * zero or a0i + a1i * zero):
-        later = itertools.chain(itertools.islice(later, zero - j), _zero_at(zero))
-    last = (a0r + a1r * start, a0i + a1i * start, b0r + b1r * start, b0i + b1i * start, d)
+    start, d, pieces = form
+    p, count, streams, zero = len(pieces), itertools.count, [], math.inf
+    for k in range(start + 1, start + p + 1):
+        j, r = divmod(k, p)
+        a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[r]
+        streams.append(zip(count(d * (a0r + a1r * j), d * a1r), count(d * (a0i + a1i * j), d * a1i),
+                           count(b0r + b1r * j, b1r), count(b0i + b1i * j, b1i),
+                           itertools.repeat(d)))
+        # this residue's first zero a'_k past the start: A0 + A1 J = 0 in both parts
+        a0, a1 = (a0r, a1r) if a1r or a0r else (a0i, a1i)
+        z = -a0 // a1 if a1 and not a0 % a1 else None if a1 or a0 else j
+        if z is not None and z >= j and not (a0r + a1r * z or a0i + a1i * z):
+            zero = min(zero, k + p * (z - j))
+    later = streams[0] if p == 1 else itertools.chain.from_iterable(zip(*streams))
+    if zero != math.inf:
+        later = itertools.chain(itertools.islice(later, zero - start - 1), _zero_at(zero))
+    j, r = divmod(start, p)
+    a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[r]
+    last = (a0r + a1r * j, a0i + a1i * j, b0r + b1r * j, b0i + b1i * j, d)
     return itertools.chain(_cleared(rule, start, last), later)
 
 
@@ -287,7 +304,7 @@ def _raw_convergents(spec: ExpansionSpec,
         while True:
             k += n or 1
             n = yield k, pr, pi, s, 0, pr, pi, s, 0, 0.0, 0, s
-    start, treeable = (form[0], not any(form[3::2])) if form else (math.inf, False)
+    start = form[0] if form else math.inf
     real = not pi
     ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
     k, end, tree, leaf, tree_min, log2 = 0, 0, False, _LEAF, _TREE_MIN, math.log2
@@ -296,7 +313,8 @@ def _raw_convergents(spec: ExpansionSpec,
         if n:  # a run to k + n: an holds the product of |a'_j|^2 up to mark
             end, la, an, n = k + n, 0.0, 1, None
             mark = min(k + leaf, end)
-            tree = end - k >= tree_min and k >= start and real and treeable
+            tree = (end - k >= tree_min and k >= start and real
+                    and not any(x for piece in form[2] for x in piece[1::2]))
             if tree:
                 column, leaves = (pr, ppr, qr, qpr), []
                 pr, ppr, qr, qpr = 1, 0, 0, 1
@@ -387,17 +405,6 @@ def convergents(spec: ExpansionSpec, depth: int) -> list[Convergent]:
     return out
 
 
-def successive_difference(spec: ExpansionSpec, k: int) -> Scalar:
-    """C_k - C_{k-1} in lowest terms."""
-    if k < 1:
-        raise ParameterError("difference requires k >= 1")
-    convs = convergents(spec, k)
-    a, b = convs[k - 1].value, convs[k].value
-    if a is None or b is None:
-        raise SingularError(f"singular convergent near index {k} of {spec.name}")
-    return b - a
-
-
 def equivalence_transform(spec: ExpansionSpec, r: Callable[[int], Scalar]) -> ExpansionSpec:
     """Rescale a_m -> r_m r_{m-1} a_m, b_m -> r_m b_m (r_0 = 1).
 
@@ -476,32 +483,34 @@ def _certified_run(form: tuple, k: int, slack: int) -> int:
     """The number of steps after k that provably cannot be small, for the
     progression ``form`` of :func:`_progression` (k >= its start) and the
     bit budget ``slack`` of :func:`estimate_limit`: the largest n with
-    n cost(n) <= slack, where cost(n) = bits(c^4) - (bits(|a'_{k+1}|^2) - 1)
-    bounds the bits that each step of a run of n uses up.
+    n cost(n) <= slack, where cost(n) = bits(c^4) - gain bounds the bits that
+    each step of a run of n uses up.
 
-    Here a'_j = D (A0 + A1 j) and b'_j = B0 + B1 j, so each part of either
-    is affine in j, and its largest magnitude over k+1..k+n is at one of the
-    ends: c_j = |a'_j|_1 + |b'_j|_1 <= c, the sum of those four largest parts,
-    and 4 log2 c_j < bits(c^4).  |a'_j|^2 is a convex quadratic in j; a run is
-    taken only where it does not fall (its rise from k+1 to k+2 is >= 0), so
-    2^(bits(|a'_{k+1}|^2) - 1) <= |a'_j|^2 on the whole run, and a zero a'_j
-    ends every run before it.  cost(n) does not fall as n grows, so
-    n cost(n) <= slack holds up to the answer and fails past it: a few
-    evaluations of cost bracket the answer and a bisection finds it."""
-    _, d, a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = form
-    j = k + 1
-    ur, ui, vr, vi = d * (a0r + a1r * j), d * (a0i + a1i * j), d * a1r, d * a1i
-    a2 = ur * ur + ui * ui
-    if slack <= 0 or not a2 or 2 * (ur * vr + ui * vi) + vr * vr + vi * vi < 0:
-        return 0
-    gain = a2.bit_length() - 1  # log2 |a'_j|^2 >= gain on the whole run
-    wr, wi = b0r + b1r * j, b0i + b1i * j
+    Step i = p J + R of the run has j <= J <= j + e for j = (k+1) // p and
+    e = (k+n) // p - j.  Each part of a'_i = D (A0 + A1 J) and
+    b'_i = B0 + B1 J is x + (J - j) dx for its value x at j, at most
+    |x| + e |dx|, so c_i = |a'_i|_1 + |b'_i|_1 <= c = c0 + e c1 for c0 and c1
+    the largest sums of the |x| and of the |dx| over the residues, and
+    4 log2 c_i < bits(c^4).  Each residue's |a'|^2 is a convex quadratic in
+    J; a run is taken only where none falls (each rise from j to j + 1 is
+    >= 0), so |a'_i|^2 >= 2^gain on the whole run, gain the least
+    bits(|a'|^2 at j) - 1, and a zero a'_i ends every run before it.
+    cost(n) does not fall as n grows, so n cost(n) <= slack holds up to the
+    answer and fails past it: a few evaluations of cost bracket the answer
+    and a bisection finds it."""
+    _, d, pieces = form
+    j, c0, c1, gain = (k + 1) // len(pieces), 0, 0, math.inf
+    for a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i in pieces:
+        ur, ui, vr, vi = d * (a0r + a1r * j), d * (a0i + a1i * j), d * a1r, d * a1i
+        a2 = ur * ur + ui * ui
+        if slack <= 0 or not a2 or 2 * (ur * vr + ui * vi) + vr * vr + vi * vi < 0:
+            return 0
+        gain = min(gain, a2.bit_length() - 1)  # log2 |a'_i|^2 >= gain on the whole run
+        c0 = max(c0, abs(ur) + abs(ui) + abs(b0r + b1r * j) + abs(b0i + b1i * j))
+        c1 = max(c1, abs(vr) + abs(vi) + abs(b1r) + abs(b1i))
 
     def cost(n):  # -g for a run of n steps
-        e = n - 1
-        c = (max(abs(ur), abs(ur + e * vr)) + max(abs(ui), abs(ui + e * vi))
-             + max(abs(wr), abs(wr + e * b1r)) + max(abs(wi), abs(wi + e * b1i)))
-        return (c**4).bit_length() - gain
+        return ((c0 + ((k + n) // len(pieces) - j) * c1) ** 4).bit_length() - gain
 
     # n cost(n) <= slack holds up to some n and fails past it, as cost(n)
     # does not fall; it holds at lo, and no n past hi can satisfy it.
@@ -589,6 +598,8 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     denominator, so the part is rounded twice, not once.  The result is an
     mpc when the limit is non-real.
     """
+    if not isinstance(target_digits, int) or target_digits < 1:
+        raise ParameterError("target_digits must be an integer >= 1")
     cap = depth_cap()
     scale = 10**target_digits
     tol = scale * scale  # 10^d, squared

@@ -2,18 +2,18 @@
 family the library handles, its parameters, its constructor, the constant it
 converges to and an independent oracle for that constant.
 
-Every family runs in one exact ring, so identity checks against them are
-exact equalities.  A free complex parameter is stored exactly (as
-:class:`ComplexParam`).  Every rule but those of the three regular fixtures
-(e-regular, e-squared and e-one-over-M, whose partial denominators run in
-periodic blocks) is affine in m past at most one exception at m = 1, and
-:func:`_linear` builds each such rule from the paper's formula: it takes
-the two coefficients once, at build time, in the integer form (p + iq)/d of
-:func:`~cfx.kernel.gaussian`, and reduces each value once, to a Fraction when
-every parameter is real, else to a ComplexParam with one Fraction per part.
-Each such rule also carries that cleared form, the progression
-(A0 + A1 m)/D with the index it holds from (2 after an exception at m = 1,
-as the M-fraction's a_1 = b), and the engine steps on it by addition with the
+Every family runs in one exact ring, so identity checks against them are exact
+equalities.  A free complex parameter is stored exactly (as
+:class:`ComplexParam`).  :func:`_linear` builds every rule in one form, a
+periodic progression x_m = alpha_r + beta_r j for m = p j + r past at most one
+exception at m = 1: the paper's rules are affine in m (p = 1), and the regular
+fixtures (e-regular, e-squared and e-one-over-M) run their partial
+denominators in blocks.  It takes the coefficients once, at build time, in the
+integer form (p + iq)/d of :func:`~cfx.kernel.gaussian`, and reduces each
+value once, to a Fraction when every parameter is real, else to a ComplexParam
+with one Fraction per part.  Each rule also carries that form cleared over one
+D, with the index it holds from (2 after an exception at m = 1, as the
+M-fraction's a_1 = b), and the engine steps on it by addition with the
 constant scale D.  The paper's e and e^n fractions are the incomplete-gamma
 fraction 1 + z + K(-z(m+z-1)/(m+2z+1)) at z = 1 (head 3, with the prefix 1
 folded in) and at z = n (with a finisher); :func:`_gamma_rule` is that rule.
@@ -54,28 +54,36 @@ from .kernel import ComplexParam, ParameterError, Scalar, cut_plane_point, facto
 
 def _linear(alpha, beta, first=None):
     """The rule m -> alpha + beta m for int, Fraction or ComplexParam alpha
-    and beta, with the value ``first`` at m = 1 when it is given.  Each other
-    value is one reduced Fraction per part: a ComplexParam exactly when alpha
-    or beta is one, as ComplexParam arithmetic would give it, else a Fraction.
+    and beta, with the value ``first`` at m = 1 when it is given; for tuples
+    alpha and beta of p values each, the periodic rule m -> alpha[r] + beta[r] j
+    for m = p j + r.  Each other value is one reduced Fraction per part: a
+    ComplexParam exactly when a coefficient is one, as ComplexParam
+    arithmetic would give it, else a Fraction.
 
-    The rule carries alpha and beta cleared over one denominator d, as the
-    attributes ``progression`` = (Re, Im of d alpha, Re, Im of d beta, d) and
-    ``start``, the first m it holds for (2 with ``first``, else 1):
-    :func:`~cfx.engine._raw_convergents` steps on it by adding d beta, and
-    calls the rule only before ``start``."""
-    (pa, qa, da), (pb, qb, db) = gaussian(alpha), gaussian(beta)
-    d = math.lcm(da, db)
-    pa, qa, pb, qb = pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)
-    is_complex = isinstance(alpha, ComplexParam) or isinstance(beta, ComplexParam)
+    The rule carries its coefficients cleared over one denominator d, as the
+    attributes ``progression`` = (d, pieces), with pieces[r] = (Re, Im of
+    d alpha[r], Re, Im of d beta[r]), and ``start``, the first m it holds for
+    (2 with ``first``, else 1): :func:`~cfx.engine._raw_convergents` steps on
+    it by adding d beta[r], and calls the rule only before ``start``."""
+    values = alpha + beta if isinstance(alpha, tuple) else (alpha, beta)
+    size = len(values) // 2
+    cleared = list(map(gaussian, values))
+    d = math.lcm(*[e for _, _, e in cleared])
+    pieces = []
+    for (pa, qa, da), (pb, qb, db) in zip(cleared, cleared[size:]):
+        pieces.append((pa * (d // da), qa * (d // da), pb * (d // db), qb * (d // db)))
+    is_complex = ComplexParam in map(type, values)
     start = 1 if first is None else 2
 
     def rule(m: int) -> Scalar:
         if m < start:
             return first
-        re = Fraction(pa + pb * m, d)
-        return ComplexParam(re, Fraction(qa + qb * m, d)) if is_complex else re
+        j, r = divmod(m, size)
+        pa, qa, pb, qb = pieces[r]
+        re = Fraction(pa + pb * j, d)
+        return ComplexParam(re, Fraction(qa + qb * j, d)) if is_complex else re
 
-    rule.progression, rule.start = (pa, qa, pb, qb, d), start
+    rule.progression, rule.start = (d, pieces), start
     return rule
 
 
@@ -184,15 +192,11 @@ def make_exp_inv_n(n: int) -> ExpansionSpec:
 def _regular(name: str, head: int, blocks: tuple) -> ExpansionSpec:
     """The regular fraction [head; b_1, b_2, ...] whose partial denominators
     run in blocks of len(blocks): b_{j len(blocks) + r + 1} = c + s j for
-    blocks[r] = (c, s) and j = 0, 1, ..."""
-    size = len(blocks)
-
-    def b(m: int) -> int:
-        j, r = divmod(m - 1, size)
-        c, s = blocks[r]
-        return c + s * j
-
-    return ExpansionSpec(name=name, head=head, rule=CoefficientRule(a=lambda m: 1, b=b))
+    blocks[r] = (c, s) and j = 0, 1, ...  In :func:`_linear`'s form, with
+    m = p j + r, the last block lands on r = 0 one j later, as (c - s, s)."""
+    *rest, (c, s) = blocks
+    return ExpansionSpec(name=name, head=head, rule=CoefficientRule(
+        a=_linear(1, 0), b=_linear(*zip((c - s, s), *rest))))
 
 
 def _e_one_over_m(M: int) -> ExpansionSpec:

@@ -20,7 +20,6 @@ from cfx.engine import (
     estimate_limit,
     raw_table,
     euler_wallis_step,
-    successive_difference,
     unshift_first_step,
     waadeland_limit,
 )
@@ -81,10 +80,10 @@ def test_package_root_exports_no_test_only_helper():
     for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
                  "successive_difference", "iter_convergents", "same_convergents"):
         assert not hasattr(cfx, name), name
-    for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
-                 "successive_difference"):
+    for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform"):
         assert hasattr(engine, name), name
-    assert not hasattr(engine, "iter_convergents")
+    for name in ("iter_convergents", "successive_difference"):
+        assert not hasattr(engine, name), name
     assert hasattr(families, "same_convergents")
 
 
@@ -111,6 +110,17 @@ def test_determinant_identity_exact_to_200():
             prod *= a_k
             det = state.p_cur * state.q_prev - state.p_prev * state.q_cur
             assert det == (-1) ** (k - 1) * prod
+
+
+def successive_difference(spec, k):
+    """C_k - C_{k-1} in lowest terms."""
+    if k < 1:
+        raise ParameterError("difference requires k >= 1")
+    convs = convergents(spec, k)
+    a, b = convs[k - 1].value, convs[k].value
+    if a is None or b is None:
+        raise SingularError(f"singular convergent near index {k} of {spec.name}")
+    return b - a
 
 
 def test_successive_differences_e_euler():
@@ -241,6 +251,13 @@ def test_estimate_limit_depth_cap(monkeypatch):
     monkeypatch.setenv("CFX_MAX_DEPTH", "5")
     with pytest.raises(NonConvergenceError):
         estimate_limit(make_e_euler(), 30)
+
+
+@pytest.mark.parametrize("digits", [-1, 0, 2.5, Fraction(3), "10", None])
+def test_estimate_limit_rejects_a_target_that_is_not_a_positive_int(digits):
+    # 0 once returned 49/18 at depth 2; -1 and 2.5 failed with AttributeError.
+    with pytest.raises(ParameterError, match="target_digits must be an integer >= 1"):
+        estimate_limit(make_e_euler(), digits)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
@@ -640,12 +657,12 @@ def _per_step(spec):
     return replace(spec, rule=CoefficientRule(a=lambda m: rule.a(m), b=lambda m: rule.b(m)))
 
 
-# The families whose rules carry a Gaussian-integer progression: complex,
-# Gaussian-integer and real Fraction parameters, Re z < 0, b = z (Q_1 = 0),
-# M-fractions whose a_1 = b is not the progression's value 0 at m = 1, the
-# integer families (e and e^n as the incomplete-gamma rule at z = 1 and n,
-# the shifted, rational-exponent and e-over rules) and e-sporadic, whose
-# a_1 and b_1 are exceptions.
+# Rules on a Gaussian-integer progression: complex, Gaussian-integer and
+# real Fraction parameters, Re z < 0, b = z (Q_1 = 0), M-fractions whose
+# a_1 = b is not the progression's value 0 at m = 1, the integer families
+# (e and e^n as the incomplete-gamma rule at z = 1 and n, the shifted,
+# rational-exponent and e-over rules), e-sporadic, whose a_1 and b_1 are
+# exceptions, and the regular fixtures, whose b has period 3 or 5.
 PROGRESSION_SPECS = [
     make_e_euler(),
     *(make_exp_n(n) for n in range(1, 5)),
@@ -666,6 +683,9 @@ PROGRESSION_SPECS = [
     make_m_fraction(ComplexParam(1, 1), ComplexParam(1, 1)),
     make_m_fraction(Fraction(-63, 2), 1),
     make_m_fraction(Fraction(5, 3), Fraction(9, 4)),
+    make_family("e-regular"),
+    make_family("e-squared"),
+    *(make_family("e-one-over-M", M=M) for M in (2, 3, 7)),
 ]
 
 
@@ -679,7 +699,7 @@ def _big_mobius(spec):
 # The specs also compared at 3000 digits, where runs of hundreds of steps
 # are built as product trees (or, for complex z, stepped in the loop).
 DEEP_SPECS = {"e-euler", "exp-n(n=3)", "rat-exp(l=2,n=5)", "inc-gamma(z=2+3i)",
-              "e-euler~big-mobius", "inc-gamma(z=2+3i)~big-mobius"}
+              "e-regular", "e-squared", "e-euler~big-mobius", "inc-gamma(z=2+3i)~big-mobius"}
 
 
 @pytest.mark.parametrize(
@@ -702,29 +722,45 @@ _QUARTERS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _GAUSSIAN = st.one_of(_QUARTERS, st.builds(ComplexParam, _QUARTERS, _QUARTERS))
 
 
-@given(alpha=_GAUSSIAN, beta=_GAUSSIAN, head=_GAUSSIAN, b0=_GAUSSIAN,
-       b1=st.sampled_from([1, 2, 3, Fraction(3, 2), ComplexParam(1, 1), ComplexParam(2, -1)]),
+_GROWTH = st.sampled_from([1, 2, 3, Fraction(3, 2), ComplexParam(1, 1), ComplexParam(2, -1)])
+
+
+def _periodic(pieces, first=None):
+    """_linear of the pieces (alpha_r, beta_r), r < p; given as two values
+    when p = 1, else as two tuples."""
+    return _linear(*(pieces[0] if len(pieces) == 1 else zip(*pieces)), first=first)
+
+
+@given(a=st.lists(st.tuples(_GAUSSIAN, _GAUSSIAN), min_size=1, max_size=4),
+       b=st.lists(st.tuples(_GAUSSIAN, _GROWTH), min_size=1, max_size=4),
+       first=st.one_of(st.none(), _GAUSSIAN), head=_GAUSSIAN,
        m=st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
        digits=st.integers(150, 400))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_random_progressions_match_the_per_step_path(monkeypatch, alpha, beta, head, b0, b1, m,
-                                                     digits):
-    # a_m = alpha + beta m against b_m = b0 + b1 m: b_m grows as fast as m,
-    # so the fraction converges, at 150 to 400 digits, where runs are taken.
-    # The depth cap bounds the odd slow case; both paths must then agree on
-    # the error too.
+def test_random_progressions_match_the_per_step_path(monkeypatch, a, b, first, head, m, digits):
+    # a_m and b_m on progressions of periods 1 to 4 each, a with an optional
+    # exception at m = 1.  Every residue of b_m grows as fast as m, so the
+    # fraction converges, at 150 to 400 digits, where runs are taken.  The
+    # depth cap bounds the odd slow case; both paths must then agree on the
+    # error too.  raw_table is compared by value: the per-step path types a
+    # row int or Fraction by its own scale.
     monkeypatch.setenv("CFX_MAX_DEPTH", "2000")
     spec = ExpansionSpec(name="random-progression", head=head, mobius=m, rule=CoefficientRule(
-        a=_linear(alpha, beta), b=_linear(b0, b1)))
-    outcomes = []
+        a=_periodic(a, first), b=_periodic(b)))
+    outcomes, tables = [], []
     for target in (spec, _per_step(spec)):
         try:
             got = estimate_limit(target, digits)
             outcomes.append((got, type(got[0])))
         except (NonConvergenceError, ParameterError) as exc:
             outcomes.append((type(exc), str(exc)))
+        try:
+            tables.append(raw_table(target, 80))
+        except ParameterError as exc:
+            tables.append(str(exc))
     assert outcomes[0] == outcomes[1]
+    assert tables[0] == tables[1]
 
 
 def _record_runs(monkeypatch):
@@ -768,6 +804,8 @@ def _small(spec, digits, depth):
         (make_family("rat-exp", l=2, n=5), 1000),
         (make_family("e-sporadic"), 1000),
         (make_family("e-over"), 1000),
+        (make_family("e-regular"), 3000),
+        (make_family("e-squared"), 1000),
         (make_m_fraction(Fraction(9, 4), Fraction(9, 4)), 1000),
         (make_inc_gamma(ComplexParam(2, 3)), 1000),
         (make_inc_gamma(ComplexParam(Fraction(-5, 2), Fraction(3, 4))), 500),
@@ -802,38 +840,55 @@ def test_every_step_in_a_run_is_not_small(monkeypatch, spec, digits):
         assert n == engine_module._certified_run(form, k, slack), k
 
 
+def _a_b(form, i):
+    """The cleared a'_i and b'_i of a progression form, as (re, im) pairs."""
+    _, d, pieces = form
+    j, r = divmod(i, len(pieces))
+    a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[r]
+    return (d * (a0r + a1r * j), d * (a0i + a1i * j)), (b0r + b1r * j, b0i + b1i * j)
+
+
 def _cost(form, k, n):
-    """bits(c^4) - (bits(|a'_{k+1}|^2) - 1) for a run of n steps after k: c
-    sums the largest magnitude of each part of a'_j, b'_j over k+1..k+n."""
-    _, d, a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = form
-    parts = [lambda j, x0=x0, x1=x1, f=f: f * (x0 + x1 * j)
-             for x0, x1, f in ((a0r, a1r, d), (a0i, a1i, d), (b0r, b1r, 1), (b0i, b1i, 1))]
-    c = sum(max(abs(part(k + 1)), abs(part(k + n))) for part in parts)
-    return (c**4).bit_length() - ((parts[0](k + 1) ** 2 + parts[1](k + 1) ** 2).bit_length() - 1)
+    """bits(c^4) - gain for a run of n steps after k.  With j = (k+1) // p,
+    c = c0 + ((k+n) // p - j) c1 for c0 the largest sum of the parts of a'
+    and b' over the residues at j and c1 the largest sum of their steps;
+    gain is the least bits(|a'|^2) - 1 over the residues at j."""
+    _, d, pieces = form
+    p = len(pieces)
+    j = (k + 1) // p
+    c0 = c1 = 0
+    gain = math.inf
+    for r, (_, _, a1r, a1i, _, _, b1r, b1i) in enumerate(pieces):
+        a, b = _a_b(form, p * j + r)
+        c0 = max(c0, sum(map(abs, a + b)))
+        c1 = max(c1, d * abs(a1r) + d * abs(a1i) + abs(b1r) + abs(b1i))
+        gain = min(gain, (a[0] ** 2 + a[1] ** 2).bit_length() - 1)
+    return ((c0 + ((k + n) // p - j) * c1) ** 4).bit_length() - gain
 
 
 _PARTS = st.integers(-40, 40)
 
 
-@given(form=st.tuples(st.integers(1, 4), *[_PARTS] * 8), k=st.integers(1, 60),
-       slack=st.integers(-50, 5000))
+@given(d=st.integers(1, 4), pieces=st.lists(st.tuples(*[_PARTS] * 8), min_size=1, max_size=5),
+       k=st.integers(1, 60), slack=st.integers(-50, 5000))
 @settings(max_examples=300, deadline=None)
-def test_certified_run_is_the_largest_the_bound_proves(form, k, slack):
-    form = (1,) + form
-    _, d, a0r, a0i, a1r, a1i, *_ = form
+def test_certified_run_is_the_largest_the_bound_proves(d, pieces, k, slack):
+    form = (1, d, pieces)
     n = engine_module._certified_run(form, k, slack)
-    ar, ai, dr, di = d * (a0r + a1r * (k + 1)), d * (a0i + a1i * (k + 1)), d * a1r, d * a1i
-    if slack <= 0 or not (ar or ai) or (ar + dr) ** 2 + (ai + di) ** 2 < ar * ar + ai * ai:
-        assert n == 0  # |a'_j| may fall, or a'_{k+1} = 0: no run
+    p = len(pieces)
+    j = (k + 1) // p
+    norms = [[x * x + y * y for x, y in (_a_b(form, p * jj + r)[0] for jj in (j, j + 1))]
+             for r in range(p)]
+    if slack <= 0 or any(not now or later < now for now, later in norms):
+        assert n == 0  # some |a'| may fall, or is zero at j: no run
         return
     assert n == 0 or n * _cost(form, k, n) <= slack
     assert (n + 1) * _cost(form, k, n + 1) > slack
-    # No a'_j in the run is zero, and every step of it is within the bound
-    # with exact logs: sum of 4 log2 c_j - log2 |a'_j|^2 <= slack.
+    # No a'_i in the run is zero, and every step of it is within the bound
+    # with exact logs: sum of 4 log2 c_i - log2 |a'_i|^2 <= slack.
     used = 0.0
-    for j in range(k + 1, k + n + 1):
-        a = (d * (a0r + a1r * j), d * (a0i + a1i * j))
-        b = (form[6] + form[8] * j, form[7] + form[9] * j)
+    for i in range(k + 1, k + n + 1):
+        a, b = _a_b(form, i)
         assert a != (0, 0)
         used += 4 * math.log2(sum(map(abs, a + b))) - math.log2(a[0] ** 2 + a[1] ** 2)
         assert used <= slack + 1e-9
@@ -869,11 +924,28 @@ def test_a_zero_partial_numerator_raises_at_its_index(monkeypatch, zero_at):
     assert len(raw_table(spec, zero_at - 1)) == zero_at
 
 
+@pytest.mark.parametrize("zero_at", [7, 41, 300])
+def test_a_zero_partial_numerator_in_a_later_residue_raises_at_its_index(zero_at):
+    # a_m has period 3, and only its residue r = zero_at % 3 (1, 2 and 0
+    # here) reaches zero, at m = zero_at; residue 1 falls otherwise.
+    r, j = zero_at % 3, zero_at // 3
+    pieces = [(1000, 1), (2 * j + 5, -1), (500, 3)]
+    pieces[r] = (-j, 1)
+    spec = ExpansionSpec(name="zero-a-periodic", head=1, rule=CoefficientRule(
+        a=_periodic(pieces), b=_linear(1000, 1)))
+    for target in (_per_step(spec), spec):
+        with pytest.raises(ParameterError, match=f"^partial numerator a_{zero_at} is zero$"):
+            estimate_limit(target, 3000)
+        with pytest.raises(ParameterError, match=f"a_{zero_at} is zero"):
+            raw_table(target, zero_at)
+    assert raw_table(spec, zero_at - 1) == raw_table(_per_step(spec), zero_at - 1)
+
+
 def test_a_traced_rule_still_steps_on_its_progression():
     # A tracer that rewraps each coefficient callable with functools.wraps
     # keeps its attributes, so the engine still steps on the progression:
     # the only rule calls are the exceptions a_1 and b_1 of the M-fraction
-    # and of e-sporadic.
+    # and of e-sporadic, and e-regular's period-3 rule takes none.
     calls = []
 
     def counted(fn):
@@ -884,6 +956,7 @@ def test_a_traced_rule_still_steps_on_its_progression():
         return wrapper
 
     for spec in (make_inc_gamma(ComplexParam(2, 3)), make_e_euler(), make_family("e-sporadic"),
+                 make_family("e-regular"),
                  make_m_fraction(Fraction(1, 2), ComplexParam(Fraction(-5, 4), Fraction(1, 2)))):
         traced = replace(spec, rule=type(spec.rule)(a=counted(spec.rule.a), b=counted(spec.rule.b)))
         calls.clear()

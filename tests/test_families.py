@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cfx.engine import convergents, estimate_limit, mobius, waadeland_limit
+from cfx.engine import _progression, convergents, estimate_limit, mobius, waadeland_limit
 from cfx.families import (
     FAMILIES,
     FAMILY_IDS,
@@ -233,8 +233,8 @@ def test_m_fraction_rule_matches_paper_formula(b, z):
 
 def _printed_rules():
     """(spec, head, a, b) of the integer-parameter families, each rule from
-    the paper's printed formula with the parameters taken as Fractions: every
-    value is a Fraction, but e-sporadic's a_1 = 2 and b_1 = 1 are ints."""
+    the printed formula with the parameters taken as Fractions: every value
+    is a Fraction, but e-sporadic's a_1 = 2 and b_1 = 1 are ints."""
     one = Fraction(1)
     yield make_e_euler(), 3, lambda m: -m * one, lambda m: m + 3 * one
     for n in range(1, 5):
@@ -248,6 +248,16 @@ def _printed_rules():
     yield make_family("e-over"), 2, lambda m: m + one, lambda m: m + one
     yield (make_family("e-sporadic"), 1, lambda m: 2 if m == 1 else one,
            lambda m: 1 if m == 1 else 4 * m - 2 * one)
+    # The regular fixtures: a_m = 1, and b_{p j + r + 1} is entry r of the
+    # j-th block of p partial denominators.
+    for spec, head, block in ((make_family("e-regular"), 2, lambda j: (1, 2 * j + 2, 1)),
+                              (make_family("e-squared"), 7,
+                               lambda j: (3 * j + 2, 1, 1, 3 * j + 3, 12 * j + 18)),
+                              (make_family("e-one-over-M", M=5), 1,
+                               lambda j: ((2 * j + 1) * 5 - 1, 1, 1))):
+        p = len(block(0))
+        yield (spec, head, lambda m: one,
+               lambda m, block=block, p=p: one * block((m - 1) // p)[(m - 1) % p])
 
 
 @pytest.mark.parametrize("spec,head,a,b", [pytest.param(*r, id=r[0].name) for r in _printed_rules()])
@@ -255,14 +265,16 @@ def test_integer_family_rules_match_printed_formulas(spec, head, a, b):
     _check_rule(spec, head, a, b)
 
 
-def test_every_affine_family_carries_a_progression():
-    # Every family but the three periodic regular fixtures builds its rule
-    # with _linear, and so steps on a progression.
+def test_every_registry_family_carries_a_progression():
+    # Every family builds its rule with _linear, and so steps on a progression
+    # of period 1, but for the regular fixtures' partial denominators.
     params = {"n": 3, "l": 2, "M": 3, "z": ComplexParam(2, 3), "b": Fraction(1, 2)}
+    periods = {"e-regular": 3, "e-squared": 5, "e-one-over-M": 3}
     for fid in FAMILY_IDS:
         rule = make_family(fid, **params).rule
-        affine = fid not in ("e-regular", "e-squared", "e-one-over-M")
-        assert all(hasattr(f, "progression") == affine for f in (rule.a, rule.b)), fid
+        assert len(rule.a.progression[1]) == 1, fid
+        assert len(rule.b.progression[1]) == periods.get(fid, 1), fid
+        assert len(_progression(rule)[2]) == periods.get(fid, 1), fid
 
 
 def test_complex_rules_keep_complex_type_where_an_imaginary_part_cancels():
@@ -292,7 +304,7 @@ def test_complex_rules_carry_their_progression(spec):
     # From its start index on, each rule is (A0 + A1 m)/D with Gaussian-integer
     # A0, A1; the M-fraction's a starts at 2, after its exception a_1 = b.
     for f in (spec.rule.a, spec.rule.b):
-        a0r, a0i, a1r, a1i, d = f.progression
+        d, ((a0r, a0i, a1r, a1i),) = f.progression
         for m in range(f.start, 61):
             assert f(m) == ComplexParam(Fraction(a0r + a1r * m, d), Fraction(a0i + a1i * m, d))
     assert spec.rule.a.start == (2 if spec.name.startswith("m-fraction") else 1)
