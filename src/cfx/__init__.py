@@ -9,7 +9,6 @@ from .engine import (
     TailSequence,
     convergents,
     estimate_limit,
-    unshift_first_step,
     waadeland_limit,
 )
 from .families import (
@@ -45,7 +44,6 @@ from .oracle import (
     hyp_1f1,
     hyp_2f2,
     inc_gamma_normalized,
-    sigma_partial,
 )
 
 __version__ = "0.1.0"

@@ -435,14 +435,6 @@ def waadeland_limit(t0: Scalar, sigma_inf: Scalar) -> Scalar:
     return t0 * (1 - 1 / sigma_inf)
 
 
-def unshift_first_step(a1: Scalar, b1: Scalar, tail_value: Scalar) -> Scalar:
-    """Value a1/(b1 + t) of a fraction whose tail from index 2 has value t."""
-    denom = b1 + tail_value
-    if denom == 0:
-        raise SingularError("b1 + tail_value vanishes")
-    return a1 / denom
-
-
 @dataclass(frozen=True)
 class TailSequence:
     """Candidate tail values t_j, j >= 0, for a coefficient rule."""

@@ -1,13 +1,14 @@
 """Independent series oracles.
 
 These evaluators never touch the continued-fraction engine.  Every value is
-a power series summed term by term, in one of two ways:
+a power series summed exactly, in one of two ways:
 
 * the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``, ``inc_gamma_normalized``)
-  wrap one loop, :func:`hyp_sum`, which sums on scaled Gaussian integers, stops
-  once a certified tail bound is below 10^-digits of the sum, and returns an
-  mpmath value; its guard digits grow with the cancellation among its terms
-  (1/e^(-x) and Kummer's transformation avoid it for real x < 0);
+  wrap one summer, :func:`hyp_sum`, which keeps the partial sum as one exact
+  Gaussian-integer fraction (binary splitting for the prefix before a tail
+  bound can hold, then one term at a time), stops once a certified tail bound
+  is below 10^-digits of the sum, and rounds once to an mpmath value
+  (1/e^(-x) and Kummer's transformation keep the terms positive for real x < 0);
 * the integral series (``beta_exp_integral``, ``exp_rational_integral``)
   integrate ``e^{ct}`` term by term as exact integer series, every term over
   one running integer denominator, and stop once a certified geometric bound
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, log10, prod
+from math import isqrt, prod
 
 from mpmath import mp, mpc, mpf
 
@@ -35,22 +36,21 @@ from .kernel import (
     PrecisionError,
     Scalar,
     cut_plane_point,
-    factorial,
     gaussian,
-    pochhammer,
 )
 
-_GUARD = 15
-_SPARE = 7  # guard digits that cancellation may use up; the rest covers rounding
+# The float series round at 15 digits past their target.
+_EXTRA = 15
 
 
 @dataclass(frozen=True)
 class SeriesResult:
     """A partial sum, the number of terms in it and a bound on what it omits.
 
-    Both bounds are certified for truncation: the float series give an
-    ``mpf`` (their rounding is covered by the guard digits), the exact
-    integral series a ``Fraction``.
+    Both bounds are certified for truncation.  The float series give an
+    ``mpf``, which also covers cutting the exact sum to its leading bits
+    before it is rounded to the working precision; the rounding is not in
+    it.  The exact integral series give a ``Fraction``.
     """
 
     value: Scalar
@@ -61,20 +61,6 @@ class SeriesResult:
 def _ceil_sqrt(x: int) -> int:
     r = isqrt(x)
     return r + (r * r < x)
-
-
-def _mag(re: int, im: int) -> int:
-    """mp.mag of re + i im: the bit length of the larger part, plus one when
-    both parts are nonzero."""
-    bits = max(abs(re), abs(im)).bit_length()
-    return bits + 1 if re and im else bits
-
-
-def _floor_log2(p: int, q: int) -> int:
-    """floor(log2(p/q)) for positive ints p and q."""
-    if p >= q:
-        return (p // q).bit_length() - 1
-    return -(-(-q // p) - 1).bit_length()
 
 
 def _ratio_bound(z, a, b):
@@ -113,147 +99,139 @@ def _ratio_bound(z, a, b):
     return rho
 
 
-def _lift(w: int, bits: int, n_norm: int, d_norm: int) -> int:
-    """A left shift of a term of ``bits`` bits after which its product with N/D
-    has at least 3w/2 bits: |N/D| >= 2^((nb - db - 1)/2) for nb, db the bit
-    lengths of |N|^2 and |D|^2."""
-    return w + w // 2 + 2 - bits - (n_norm.bit_length() - d_norm.bit_length()) // 2
+def _least(holds, last: int) -> int:
+    """The least k <= last with holds(k), or last if there is none; holds(k)
+    implies holds(k + 1).  Doubling, then bisection."""
+    if holds(0):
+        return 0
+    lo, hi = 0, 1
+    while hi < last and not holds(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
-def _sums_to_zero(a, b, z, terms: int) -> bool:
-    """Whether the first ``terms`` terms of the series of :func:`hyp_sum` add
-    up to exactly 0, in exact Gaussian-rational arithmetic."""
-    a, b = [ComplexParam.coerce(x) for x in a], [ComplexParam.coerce(x) for x in b]
-    z = ComplexParam.coerce(z)
-    term = total = 1
-    for k in range(terms - 1):
-        term = term * z * prod(x + k for x in a) / prod(y + k for y in b)
-        total += term
-    return total == 0
+def _split(ratios, lo: int, hi: int):
+    """Binary splitting over ratios[lo:hi], each (mr, mi, q) for (mr + i mi)/q:
+    (pr, pi, q, tr, ti) with (pr + i pi)/q their product and (tr + i ti)/q the
+    sum of their prefix products (Haible & Papanikolaou 1998)."""
+    if hi - lo == 1:
+        mr, mi, q = ratios[lo]
+        return mr, mi, q, mr, mi
+    mid = (lo + hi) // 2
+    ar, ai, aq, atr, ati = _split(ratios, lo, mid)
+    br, bi, bq, btr, bti = _split(ratios, mid, hi)
+    return (ar * br - ai * bi, ar * bi + ai * br, aq * bq,
+            atr * bq + ar * btr - ai * bti, ati * bq + ar * bti + ai * btr)
+
+
+def _quotient(num: int, den: int, prec: int) -> mpf:
+    """num/den for den > 0, rounded to prec bits once, from the leading
+    prec + 64 bits of each: the cut moves it by under 2^-(prec+61) of itself."""
+    cn, cd = max(num.bit_length() - prec - 64, 0), max(den.bit_length() - prec - 64, 0)
+    num, den = num >> cn, den >> cd
+    shift = max(prec + 64 + den.bit_length() - num.bit_length(), 0)
+    return mpf(((num << shift) // den, cn - cd - shift))
 
 
 def hyp_sum(a, b, z, digits: int) -> SeriesResult:
     """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
 
-    The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D of
-    Gaussian integers, so the sum is kept as (re, im) ints in units of
-    2^(e-w), w = mp.prec at digits + guard, and the term as (re, im) ints in
-    units of 2^x of those, x <= 0.  Both start at 1, which is 2^w units.  Each
-    step is t <- t N conj(D) // |D|^2, on one real int while t and N conj(D)
-    are real.  A quotient of under w bits is taken again from the term shifted
-    left, with x lowered to match: the term keeps w bits however far it falls
-    below a unit of the sum, so a later rise loses none.  Once a growing term
-    passes 2^(2w), it is shifted right to w bits; x takes the shift up to 0,
-    and the rest shifts the sum and is added to e.  The sum becomes an mpf (an
-    mpc once a ratio was non-real) only at the end.
+    The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D
+    of Gaussian integers, taken as N conj(D)/|D|^2 (as N/D for a real D).  So
+    t_k = P_k/Q_k with a Gaussian integer P_k over the running real product
+    Q_k, and the partial sum is one exact S_k/Q_k.
 
-    The series terminates, exactly, at the first N = 0.  Otherwise it stops at
-    the first |t_k| <= |t_{k-1}|/2 with |t_k| < 10^-digits |sum| (an exact
-    test on the ints) whose certified tail is below 10^-digits |sum| too: with
-    rho_k < 1 from :func:`_ratio_bound`, the terms after t_k sum to at most
-    (|t_k| + 2^(e-w)) rho_k/(1 - rho_k), the reported bound.  A sum whose
-    largest term exceeds it by more digits than the guard can spare is redone
-    with the guard raised by the digits lost, until it covers them; so is a
-    sum of under 10^(digits+1) units once a term falls below one unit.  A
-    terminated series is not redone when its exact terms cancel
-    (:func:`_sums_to_zero`): no guard would cover that loss, since the sum
-    left is all rounding, so the value is 0 with tail bound 0.  The ratio
-    test cannot hold before k ~ 2|z|, so the term budget grows with |z|; a
-    sum that outruns it raises PrecisionError."""
-    params = a, b, z
+    No stop comes before k0, the least k at which :func:`_ratio_bound` gives
+    rho_k < 1: t_0 ... t_k0 are summed by binary splitting, then one term at a
+    time.  The sum stops at the first k >= k0 with |t_k|/(1 - rho_k) <
+    10^-digits |S_k/Q_k|, an exact test on the ints (on their squares for a
+    non-real series) behind a bit-length test that it implies; the reported
+    bound is |t_k| rho_k/(1 - rho_k), which the terms after t_k do not exceed.
+    The series terminates, exactly, at the first N = 0.  S_k/Q_k is rounded
+    once, at digits + 15 working digits, to an mpf (an mpc when z or a
+    parameter is non-real).  The ratio test cannot hold before k ~ |z|, so the
+    term budget grows with |z|; a sum that outruns it raises PrecisionError."""
     (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
+    cplx = bool(zq) or any(q for _, q, _ in a + b)
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
+    zr, zi = zp * n0, zq * n0
+
+    def ratio(k: int):
+        nr, ni, dr, di = zr, zi, d0, 0
+        for p, q, d in a:
+            x = p + k * d
+            nr, ni = nr * x - ni * q, nr * q + ni * x
+        for p, q, d in b:
+            x = p + k * d
+            dr, di = dr * x - di * q, dr * q + di * x
+        if di:
+            return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+        return (nr, ni, dr) if dr > 0 else (-nr, -ni, -dr)
+
     budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd
+    # The first zero ratio: z = 0, or a nonpositive integer a_i.
+    ends = [-p // d for p, q, d in a if not q and p <= 0 and not p % d]
+    end = min(ends, default=None) if zp or zq else 0
     rho = _ratio_bound((zp, zq, zd), a, b)
-    ten, ten2 = 10**digits, 100**digits
-    guard = _GUARD
-    while True:
-        with mp.workdps(digits + guard):
-            w = mp.prec
-            tr, ti, x = 1 << w, 0, 0  # the term, (tr + i ti) 2^x units
-            sr, si, e = 1 << w, 0, 0  # the sum; a unit is 2^(e-w)
-            big = 1  # mp.mag of the largest term
-            cut = None  # 1 + mp.mag(10^-digits |sum|) in units at the last test
-            tail = None  # the tail bound in units, as (numerator, denominator)
-            cplx = False
-            k = 0
-            while True:
-                nr, ni, dr, di = zp * n0, zq * n0, d0, 0
-                for p, q, d in a:
-                    nr, ni = nr * (p + k * d) - ni * q, nr * q + ni * (p + k * d)
-                for p, q, d in b:
-                    dr, di = dr * (p + k * d) - di * q, dr * q + di * (p + k * d)
-                n_norm, d_norm = nr * nr + ni * ni, dr * dr + di * di
-                k += 1
-                if not n_norm:
-                    tail = 0, 1
-                    break
-                re, im = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
-                if im or cplx:
-                    cplx = True
-                    qr, qi = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
-                    if max(qr.bit_length(), qi.bit_length()) < w:
-                        lift = _lift(w, max(tr.bit_length(), ti.bit_length()), n_norm, d_norm)
-                        tr, ti, x = tr << lift, ti << lift, x - lift
-                        qr, qi = (tr * re - ti * im) // d_norm, (tr * im + ti * re) // d_norm
-                    tr, ti = qr, qi
-                    si += ti >> -x
-                else:
-                    q = tr * re // d_norm
-                    if q.bit_length() < w:
-                        lift = _lift(w, tr.bit_length(), n_norm, d_norm)
-                        tr, x = tr << lift, x - lift
-                        q = tr * re // d_norm
-                    tr = q
-                sr += tr >> -x
-                if 4 * n_norm > d_norm:  # |t_k| > |t_{k-1}|/2
-                    if n_norm > d_norm:
-                        bits = _mag(tr, ti)
-                        big = max(big, bits + x + e - w)
-                        if bits > 2 * w:
-                            drop, shift = bits - w, max(bits - w + x, 0)
-                            tr, ti, x = tr >> drop, ti >> drop, x + drop - shift
-                            sr, si, e = sr >> shift, si >> shift, e + shift
-                elif cut is None or _mag(tr, ti) + x <= cut:
-                    t2, s2 = tr * tr + ti * ti, sr * sr + si * si
-                    # |t_k| is sqrt(t2) 2^x units.
-                    bound = rho(k) if t2 * ten2 < s2 << -2 * x else None
-                    if bound:
-                        u, v = bound
-                        num, den = (-(-_ceil_sqrt(t2) >> -x) + 1) * u, v - u
-                        if num * ten < isqrt(s2) * den:
-                            tail = num, den
-                            break
-                    if _mag(tr, ti) + x <= 0 and s2 < 100 * ten2:
-                        break  # a sum of few units and a term below one: more guard
-                    cut = _floor_log2(s2, ten2) // 2 + 2 if s2 else 0
-                if k > budget:
-                    raise PrecisionError("series failed to converge")
-            # A zero sum of a terminated series is exact.  A loss beyond the spare
-            # guard is redone, unless the terms of the terminated series cancel
-            # exactly: then the sum left is all rounding, and the value is 0.
-            lost = (big - _mag(sr, si) - e + w) * log10(2) if sr or si or n_norm else 0
-            spare = guard - _GUARD + _SPARE
-            if lost > spare and not n_norm and _sums_to_zero(*params, k):
-                sr = si = lost = 0
-            if tail and lost <= spare:
-                value = mp.ldexp(mpf(sr), e - w)
-                if cplx:
-                    value = mpc(value, mp.ldexp(mpf(si), e - w))
-                return SeriesResult(value, k + 1, mp.ldexp(mpf(tail[0]) / tail[1], e - w))
-            guard = max(guard + 1, _GUARD + ceil(lost))
-
-
+    k = _least(lambda j: rho(j) is not None, budget if end is None else min(end, budget))
+    if k != end and rho(k) is None:
+        raise PrecisionError("series failed to converge")
+    pr, pi, q, sr, si = _split([ratio(j) for j in range(k)], 0, k) if k else (1, 0, 1, 0, 0)
+    sr += q
+    ten = 10**digits
+    lead = ten.bit_length() - 2
+    while k != end:
+        if k > budget:
+            raise PrecisionError("series failed to converge")
+        # The stop implies |t_k| 10^digits < |S_k/Q_k|, so these bit lengths.
+        if cplx:
+            bp, bs = max(pr.bit_length(), pi.bit_length()), max(sr.bit_length(), si.bit_length())
+        else:
+            bp, bs = pr.bit_length(), sr.bit_length()
+        if bp + lead <= bs:
+            u, v = rho(k)
+            vt, w = v * ten, v - u
+            if (abs(pr) * vt < abs(sr) * w if not cplx else
+                    (pr * pr + pi * pi) * vt * vt < (sr * sr + si * si) * w * w):
+                break
+        mr, mi, d = ratio(k)
+        if cplx:
+            pr, pi = pr * mr - pi * mi, pr * mi + pi * mr
+            si = si * d + pi
+        else:
+            pr *= mr
+        sr = sr * d + pr
+        q *= d
+        k += 1
+    with mp.workdps(digits + _EXTRA):
+        prec = mp.prec
+        value = _quotient(sr, q, prec)
+        if cplx:
+            value = mpc(value, _quotient(si, q, prec))
+        # The cut of S and Q to their leading bits, in the bound.
+        cut = max(q.bit_length(), sr.bit_length(), si.bit_length()) > prec + 64
+        tail = mp.ldexp(abs(value), -prec - 60) if cut else mpf(0)
+        if k == end:
+            return SeriesResult(value, k + 2, tail)
+        term = _quotient(pr, q, prec)
+        if cplx:
+            term = mpc(term, _quotient(pi, q, prec))
+        return SeriesResult(value, k + 1, tail + abs(term) * u / w)
 def exp_series(x, digits: int) -> SeriesResult:
     """exp(x) = sum x^k / k!; for real x < 0, 1/exp(-x)."""
     x = ComplexParam.coerce(x)
     if not (x.is_real and x.re < 0):
         return hyp_sum((), (1,), x, digits)
     pos = hyp_sum((), (1,), -x, digits)
-    with mp.workdps(digits + _GUARD):
-        # A tail tau omitted from e^(-x) moves 1/e^(-x) by at most tau e^(2x).
-        return SeriesResult(1 / pos.value, pos.terms_used, pos.tail_bound / pos.value**2)
+    with mp.workdps(digits + _EXTRA):
+        # e^(-x) lies in p +- tau, so 1/e^(-x) lies within tau/(p(p - tau)) of 1/p.
+        p, tau = pos.value, pos.tail_bound
+        return SeriesResult(1 / p, pos.terms_used, tau / (p * (p - tau)))
 
 
 def inc_gamma_normalized(z, digits: int) -> SeriesResult:
@@ -274,9 +252,10 @@ def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
         raise ParameterError(f"b = {b_den} is a pole of 1F1")
     if not (z.is_real and z.re < 0):
         return hyp_sum((), (b_den,), z, digits)
-    e, f = exp_series(z, digits), hyp_sum((b_den - 1,), (b_den, 1), -z, digits)
-    with mp.workdps(digits + _GUARD):
-        tail = e.value * f.tail_bound + abs(f.value) * e.tail_bound
+    # Each factor to one digit more, so that their product meets digits.
+    e, f = exp_series(z, digits + 1), hyp_sum((b_den - 1,), (b_den, 1), -z, digits + 1)
+    with mp.workdps(digits + _EXTRA):
+        tail = e.value * f.tail_bound + abs(f.value) * e.tail_bound + e.tail_bound * f.tail_bound
         return SeriesResult(e.value * f.value, e.terms_used + f.terms_used, tail)
 
 
@@ -286,53 +265,6 @@ def hyp_2f2(a1, a2, b1, b2, z, digits: int) -> SeriesResult:
         if ComplexParam.coerce(b).is_nonpositive_integer:
             raise ParameterError(f"denominator parameter {b} is a pole of 2F2")
     return hyp_sum((a1, a2), (b1, b2, 1), z, digits)
-
-
-def sigma_partial(param, depth: int) -> Fraction:
-    """Exact partial sum Sigma_l of the tail-product series.
-
-    ``param`` is an integer n (the integer-power case, with the sum equal to
-    the 2F2(1,1;3,n+2;n) partial sum) or a pair (l, n) with 1 <= l < n (the
-    rational case, z = l/n, matching 2F2((n-1)z+1, 1; nz+2, (n-1)z+3; z)).
-    Each term is computed both as the product prod (b_j + t_j)/(-t_j) and as
-    the hypergeometric term, and the two are asserted equal.
-    """
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
-    if isinstance(param, tuple):
-        l, n = param
-        if not (1 <= l < n):
-            raise ParameterError("rational variant requires 1 <= l < n")
-        z = Fraction(l, n)
-        b = lambda j: j + (n + 1) * z + 2
-        t = lambda j: -Fraction((j + 1 + n * z) * (j + 2 + (n - 1) * z), 1) / (j + 1 + (n - 1) * z)
-        # (1)_k / k! = 1, so the hypergeometric term collapses to a single ratio.
-        hyp = lambda k: (
-            pochhammer((n - 1) * z + 1, k)
-            / (pochhammer(n * z + 2, k) * pochhammer((n - 1) * z + 3, k))
-            * z**k
-        )
-    else:
-        n = param
-        b = lambda j: Fraction(j + 2 * n + 2)
-        t = lambda j: -Fraction((j + n + 1) * (j + 2), j + 1)
-        hyp = lambda k: (
-            pochhammer(Fraction(1), k) ** 2
-            / (pochhammer(Fraction(3), k) * pochhammer(Fraction(n + 2), k))
-            * Fraction(n**k, factorial(k))
-        )
-
-    total = Fraction(0)
-    prod = Fraction(1)
-    for k in range(depth + 1):
-        if k > 0:
-            prod *= (b(k) + t(k)) / (-t(k))
-        if prod != hyp(k):
-            raise PrecisionError(
-                f"tail-product term {k} disagrees with hypergeometric term: {prod} vs {hyp(k)}"
-            )
-        total += prod
-    return total
 
 
 def _certified_sum(steps, digits: int) -> SeriesResult:

@@ -20,7 +20,6 @@ from cfx.engine import (
     estimate_limit,
     raw_table,
     euler_wallis_step,
-    unshift_first_step,
     waadeland_limit,
 )
 from cfx.families import (
@@ -75,15 +74,17 @@ def test_convergents_exp2_limit_close_to_e_squared():
 
 def test_package_root_exports_no_test_only_helper():
     import cfx
-    from cfx import engine, families
+    from cfx import engine, families, oracle
 
     for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform",
-                 "successive_difference", "iter_convergents", "same_convergents"):
+                 "successive_difference", "iter_convergents", "same_convergents",
+                 "unshift_first_step", "sigma_partial"):
         assert not hasattr(cfx, name), name
     for name in ("ConvergentState", "euler_wallis_step", "equivalence_transform"):
         assert hasattr(engine, name), name
-    for name in ("iter_convergents", "successive_difference"):
+    for name in ("iter_convergents", "successive_difference", "unshift_first_step"):
         assert not hasattr(engine, name), name
+    assert not hasattr(oracle, "sigma_partial")
     assert hasattr(families, "same_convergents")
 
 
@@ -201,6 +202,14 @@ def test_waadeland_limit_trivial():
     assert waadeland_limit(Fraction(-7), 1) == 0
     with pytest.raises(SingularError):
         waadeland_limit(1, 0)
+
+
+def unshift_first_step(a1, b1, tail_value):
+    """Value a1/(b1 + t) of a fraction whose tail from index 2 has value t."""
+    denom = b1 + tail_value
+    if denom == 0:
+        raise SingularError("b1 + tail_value vanishes")
+    return a1 / denom
 
 
 def test_waadeland_reconstructs_e():

@@ -1,11 +1,15 @@
+import random
 import signal
 from fractions import Fraction
+from itertools import count
+from math import prod
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from cfx.kernel import (
     ComplexParam,
+    gaussian,
     ParameterError,
     PrecisionError,
     factorial,
@@ -13,6 +17,7 @@ from cfx.kernel import (
     to_mp,
 )
 from cfx.oracle import (
+    _ratio_bound,
     beta_exp_integral,
     exp_rational_integral,
     exp_series,
@@ -20,7 +25,6 @@ from cfx.oracle import (
     hyp_2f2,
     hyp_sum,
     inc_gamma_normalized,
-    sigma_partial,
 )
 
 
@@ -92,6 +96,53 @@ def test_nonpositive_integer_denominator_parameter_is_a_pole():
     with mp.workdps(30):
         assert abs(hyp_1f1(ComplexParam(-2, 1), 1, 20).value
                    - mp.hyp1f1(1, mp.mpc(-2, 1), 1)) < mpf(10) ** -18
+
+
+def sigma_partial(param, depth: int) -> Fraction:
+    """Exact partial sum Sigma_l of the tail-product series.
+
+    ``param`` is an integer n (the integer-power case, with the sum equal to
+    the 2F2(1,1;3,n+2;n) partial sum) or a pair (l, n) with 1 <= l < n (the
+    rational case, z = l/n, matching 2F2((n-1)z+1, 1; nz+2, (n-1)z+3; z)).
+    Each term is computed both as the product prod (b_j + t_j)/(-t_j) and as
+    the hypergeometric term, and the two are asserted equal.
+    """
+    if depth < 0:
+        raise ParameterError("depth must be >= 0")
+    if isinstance(param, tuple):
+        l, n = param
+        if not (1 <= l < n):
+            raise ParameterError("rational variant requires 1 <= l < n")
+        z = Fraction(l, n)
+        b = lambda j: j + (n + 1) * z + 2
+        t = lambda j: -Fraction((j + 1 + n * z) * (j + 2 + (n - 1) * z), 1) / (j + 1 + (n - 1) * z)
+        # (1)_k / k! = 1, so the hypergeometric term collapses to a single ratio.
+        hyp = lambda k: (
+            pochhammer((n - 1) * z + 1, k)
+            / (pochhammer(n * z + 2, k) * pochhammer((n - 1) * z + 3, k))
+            * z**k
+        )
+    else:
+        n = param
+        b = lambda j: Fraction(j + 2 * n + 2)
+        t = lambda j: -Fraction((j + n + 1) * (j + 2), j + 1)
+        hyp = lambda k: (
+            pochhammer(Fraction(1), k) ** 2
+            / (pochhammer(Fraction(3), k) * pochhammer(Fraction(n + 2), k))
+            * Fraction(n**k, factorial(k))
+        )
+
+    total = Fraction(0)
+    prod = Fraction(1)
+    for k in range(depth + 1):
+        if k > 0:
+            prod *= (b(k) + t(k)) / (-t(k))
+        if prod != hyp(k):
+            raise PrecisionError(
+                f"tail-product term {k} disagrees with hypergeometric term: {prod} vs {hyp(k)}"
+            )
+        total += prod
+    return total
 
 
 def test_sigma_partial_integer_case():
@@ -299,16 +350,17 @@ def test_inc_gamma_normalized_against_mp_gammainc(z, digits):
 
 def test_negative_real_arguments_sum_positive_terms():
     # 1/e^(-x) and Kummer's form cost what the positive argument costs; an
-    # alternating sum would need a guard of about 130 digits more at x = -300.
+    # alternating sum at x = -300 would run on until its terms fell about 130
+    # digits further.  Kummer's form sums each factor to one digit more.
     assert exp_series(-300, 30).terms_used == exp_series(300, 30).terms_used
     kummer = hyp_1f1(2, -300, 30).terms_used
-    assert kummer == exp_series(300, 30).terms_used + hyp_sum((1,), (2, 1), 300, 30).terms_used
+    assert kummer == exp_series(300, 31).terms_used + hyp_sum((1,), (2, 1), 300, 31).terms_used
 
 
 def test_guard_widens_until_it_covers_the_cancellation():
-    # e^(400i) has modulus 1 and terms up to 10^172.  At 5 + 15 digits the
-    # first sum is all rounding, so the loss it measures is a lower bound;
-    # the guard widens until a sum confirms its own loss.
+    # e^(400i) has modulus 1 and terms up to 10^172.  The exact sum loses
+    # nothing to that cancellation; the one rounding at the end keeps 5 + 15
+    # digits of the modulus-1 value.
     value = exp_series(ComplexParam(Fraction(0), Fraction(400)), 5).value
     with mp.workdps(200):
         _assert_relative(value, mp.exp(400j), 5)
@@ -320,8 +372,8 @@ def test_divergent_series_exhausts_its_term_budget():
         hyp_sum((1, 1), (1,), 1, 10)
 
 
-# The fixed-point ring of hyp_sum.  Points with Re z < 0 and Im z != 0 lose
-# more digits to cancellation than the first guard spares, so they are redone.
+# Points for hyp_sum's exact summer.  With Re z < 0 and Im z != 0 the terms
+# are far larger than their sum; an exact sum loses no digits to that.
 RING_Z = (ComplexParam(-20, 3), ComplexParam(-40, Fraction(1, 4)),
           ComplexParam(Fraction(-5, 2), Fraction(3, 4)), ComplexParam(Fraction(-3, 2), -2),
           30, ComplexParam(45, 1), ComplexParam(0, 25), ComplexParam(-60, Fraction(1, 2)))
@@ -329,7 +381,8 @@ RING_B = (Fraction(1, 2), ComplexParam(1, 1), 3)
 
 
 def _within_tail(result, reference, digits):
-    # The truncation is certified by tail_bound; rounding stays below the guard.
+    # The truncation is certified by tail_bound; the one rounding at
+    # digits + 15 working digits is far below 10^-(digits+8).
     gap = abs(result.value - reference)
     assert result.tail_bound < mpf(10) ** -digits * abs(result.value)
     assert gap <= result.tail_bound + mpf(10) ** -(digits + 8) * abs(result.value)
@@ -368,8 +421,9 @@ def test_stop_waits_for_a_certified_tail(b, digits):
 
 def test_a_term_keeps_its_digits_through_a_deep_dip():
     # 1F1(1; -797/2; 200): the terms fall to about 10^-33 near k = 199, far
-    # below a unit of the sum at 10 digits, then rise to about 10^140 past the
-    # pole near k = 398; the ratio stays above 1/2 until k = 799.
+    # below 10^-10 of the sum, then rise to about 10^140 past the pole near
+    # k = 398; no stop comes before Re b + k > 0, and the exact terms lose
+    # nothing through the dip.
     result = hyp_1f1(Fraction(-797, 2), 200, 10)
     with mp.workdps(60):
         _within_tail(result, mp.hyp1f1(1, mpf(-797) / 2, 200), 10)
@@ -403,7 +457,8 @@ def test_tail_bound_pairs_each_numerator_with_a_denominator(a, digits):
 
 
 def test_growing_terms_are_rescaled():
-    # Terms of e^5000 reach 10^2170; the sum keeps about 2w bits at 30 digits.
+    # Terms of e^5000 reach 10^2170; the exact sum is cut to its leading bits
+    # once, before its one rounding, and the cut is inside tail_bound.
     result = hyp_sum((), (1,), 5000, 30)
     with mp.workdps(60):
         _within_tail(result, mp.exp(5000), 30)
@@ -418,8 +473,8 @@ def test_complex_terminating_series_is_exact():
     result = hyp_sum((-3,), (2, 1), 1, 20)
     with mp.workdps(60):
         _within_tail(result, mpf(-1) / 24, 20)
-    # (1 - z)^40 = 3^-40 at z = 1 + i/3, from terms up to 10^12: the first
-    # sum loses 31 of its 36 digits to cancellation, and the guard redoes it.
+    # (1 - z)^40 = 3^-40 at z = 1 + i/3, from terms up to 10^12: 31 digits
+    # cancel, and the exact sum loses none of them.
     result = hyp_sum((-40,), (1,), ComplexParam(1, Fraction(1, 3)), 20)
     with mp.workdps(60):
         _within_tail(result, mpf(3) ** -40, 20)
@@ -439,17 +494,16 @@ def _within_seconds(seconds, fn, *args):
 
 
 def test_terminating_series_with_exact_sum_zero_returns_zero():
-    # 1 - 4 + 36/7 - 18/7 + 3/7 = 0.  Every fixed-point sum leaves about one
-    # unit of rounding, which reads as a loss no guard covers; the exact terms
-    # decide that the sum is 0.
+    # 1 - 4 + 36/7 - 18/7 + 3/7 = 0.  The exact sum is 0, so the value is 0
+    # and the terminated series omits nothing.
     result = _within_seconds(5, hyp_2f2, 1, -4, 6, 1, 6, 8)
     assert (result.value, result.tail_bound) == (0, 0)
     assert type(result.value) is type(mpf(0))
 
 
 def test_terminating_series_with_a_tiny_sum_keeps_its_digits():
-    # At z = 6 + 10^-6 the same four terms leave about 4.8e-8: the guard is
-    # redone until it covers the cancellation, as for any nonzero sum.
+    # At z = 6 + 10^-6 the same four terms leave about 4.8e-8, which the
+    # exact sum keeps to full relative precision.
     z = 6 + Fraction(1, 10**6)
     exact = sum(Fraction(pochhammer(-4, k), pochhammer(6, k) * factorial(k)) * z**k
                 for k in range(5))
@@ -467,3 +521,95 @@ def test_value_types_follow_the_arguments():
                   hyp_1f1(ComplexParam(1, 1), 2, 20).value,
                   hyp_2f2(1, 1, 3, ComplexParam(2, 1), -1, 20).value):
         assert type(value) is type(mpc(1))
+
+
+def test_kummer_product_meets_its_digit_target():
+    # Kummer's form sums e^z and 1F1(b - 1; b; -z) to one digit more each, so
+    # that their product, under its composed bound, meets the 10 digits asked.
+    b, z = Fraction(-115, 2), Fraction(-141, 4)
+    result = hyp_1f1(b, z, 10)
+    with mp.workdps(50):
+        reference = mp.hyp1f1(1, to_mp(b), to_mp(z))
+        gap = abs(result.value - reference)
+        assert gap <= result.tail_bound
+        assert gap < mpf(10) ** -10 * abs(reference)
+
+
+def _random_series(rng, count, z_range, digits_choices):
+    """Seeded (kind, parameters, z, digits): 1F1(1; b; z), 2F2 and hyp_sum's
+    1F1(a; b; z), with quarter-valued parts, a third of the parameters and
+    two fifths of the z non-real, and no pole among the lower parameters."""
+    quarter = lambda lo, hi: Fraction(rng.randint(4 * lo, 4 * hi), 4)
+    param = lambda lo, hi: ComplexParam(quarter(lo, hi), quarter(-5, 5) if rng.random() < 0.3 else 0)
+    points = []
+    while len(points) < count:
+        z = ComplexParam(quarter(-z_range, z_range), quarter(-10, 10) if rng.random() < 0.4 else 0)
+        kind = rng.choice(("1f1", "2f2", "sum"))
+        params = {"1f1": lambda: (param(-30, 30),), "sum": lambda: (param(-30, 30), param(-30, 30)),
+                  "2f2": lambda: tuple(param(-10, 10) for _ in range(4))}[kind]()
+        if not any(x.is_nonpositive_integer for x in params[len(params) // 2:]):
+            points.append((kind, params, z, rng.choice(digits_choices)))
+    return points
+
+
+def _series_and_reference(kind, params, z, digits):
+    if kind == "1f1":
+        return hyp_1f1(params[0], z, digits), lambda: mp.hyp1f1(1, params[0].to_mp(), z.to_mp())
+    if kind == "2f2":
+        return hyp_2f2(*params, z, digits), lambda: mp.hyp2f2(*(x.to_mp() for x in params), z.to_mp())
+    return (hyp_sum((params[0],), (params[1], 1), z, digits),
+            lambda: mp.hyp1f1(params[0].to_mp(), params[1].to_mp(), z.to_mp()))
+
+
+def test_random_sums_lie_within_their_bound_of_mpmath():
+    # The value omits at most tail_bound and is rounded once at digits + 15.
+    misses = []
+    for kind, params, z, digits in _random_series(random.Random(26), 320, 100, (10, 30, 80)):
+        result, reference = _series_and_reference(kind, params, z, digits)
+        with mp.workdps(digits + 15):
+            rounding = mp.ldexp(abs(result.value), 1 - mp.prec)
+        with mp.workdps(digits + 40):
+            if abs(result.value - reference()) > result.tail_bound + rounding:
+                misses.append((kind, [str(x) for x in params], str(z), digits))
+    assert not misses
+
+
+def _reference_hyp_sum(a, b, z, digits):
+    """hyp_sum's stop on exact Gaussian rationals, from k = 0: the partial sum
+    and its terms_used, or the exact sum of a terminated series."""
+    a, b, z = [ComplexParam.coerce(x) for x in a], [ComplexParam.coerce(x) for x in b], ComplexParam.coerce(z)
+    rho = _ratio_bound(gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b])
+    norm = lambda x: x.re * x.re + x.im * x.im
+    term = total = ComplexParam(1)
+    for k in count():
+        numerator = z * prod(x + k for x in a)
+        if numerator == 0:
+            return total, k + 2
+        bound = rho(k)
+        if bound:
+            u, v = bound
+            if norm(term) * (v * 10**digits) ** 2 < norm(total) * (v - u) ** 2:
+                return total, k + 1
+        term = term * numerator / prod(y + k for y in b)
+        total += term
+
+
+@pytest.mark.parametrize("a, b, z, digits", [
+    ((), (Fraction(-41, 2),), Fraction(1, 4), 5),  # the stop comes at k0 itself
+    ((), (Fraction(-21, 2), 1), ComplexParam(Fraction(1, 2), Fraction(1, 3)), 8),
+    ((-6,), (Fraction(3, 2), 1), Fraction(-5, 2), 30),  # terminates
+    # At the stop the bit lengths leave one bit of slack, real and Gaussian.
+    ((), (Fraction(-13, 2),), -15, 10),
+    ((Fraction(71, 4),), (ComplexParam(Fraction(5, 2), Fraction(-5, 2)), 1), ComplexParam(-15, Fraction(5, 2)), 5),
+    ((), (1,), 0, 10),
+] + [{"1f1": ((), params), "sum": (params[:1], params[1:] + (1,)), "2f2": (params[:2], params[2:] + (1,))}[kind]
+     + (z, digits) for kind, params, z, digits in _random_series(random.Random(1), 60, 30, (5, 10, 30))],
+    ids=str)
+def test_stop_is_the_first_index_the_bound_allows(a, b, z, digits):
+    result = hyp_sum(a, b, z, digits)
+    total, terms = _reference_hyp_sum(a, b, z, digits)
+    assert result.terms_used == terms
+    with mp.workdps(digits + 15):
+        rounding = mp.ldexp(abs(result.value), 1 - mp.prec)
+    with mp.workdps(digits + 40):
+        assert abs(result.value - total.to_mp()) <= rounding
