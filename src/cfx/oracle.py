@@ -1,19 +1,17 @@
 """Independent series oracles.
 
 These evaluators never touch the continued-fraction engine.  Every value is
-a power series summed exactly, in one of two ways:
+a hypergeometric series summed by one exact summer, :func:`_exact_sum`, which
+keeps the partial sum as one exact Gaussian-integer fraction (binary splitting
+for the prefix before a tail bound can hold, then one term at a time) and
+stops once a certified tail bound is below 10^-digits of the sum.  The sum is
 
-* the float series (``exp_series``, ``hyp_1f1``, ``hyp_2f2``, ``inc_gamma_normalized``)
-  wrap one summer, :func:`hyp_sum`, which keeps the partial sum as one exact
-  Gaussian-integer fraction (binary splitting for the prefix before a tail
-  bound can hold, then one term at a time), stops once a certified tail bound
-  is below 10^-digits of the sum, and rounds once to an mpmath value
-  (1/e^(-x) and Kummer's transformation keep the terms positive for real x < 0);
-* the integral series (``beta_exp_integral``, ``exp_rational_integral``)
-  integrate ``e^{ct}`` term by term as exact integer series, every term over
-  one running integer denominator, and stop once a certified geometric bound
-  on the positive tail is below 10^-digits of the partial sum; the sum and
-  the bound are reduced to ``Fraction``s once, at the end.
+* rounded once to an mpmath value by :func:`hyp_sum`, which ``exp_series``,
+  ``hyp_1f1``, ``hyp_2f2`` and ``inc_gamma_normalized`` wrap (1/e^(-x) and
+  Kummer's transformation keep the terms positive for real x < 0), or
+* reduced once to a ``Fraction`` value and tail bound by the two integral
+  representations, ``beta_exp_integral`` (a 1F1) and ``exp_rational_integral``
+  (a 2F2).
 
 They are the ground truth the fraction families are verified against.
 """
@@ -47,10 +45,9 @@ _EXTRA = 15
 class SeriesResult:
     """A partial sum, the number of terms in it and a bound on what it omits.
 
-    Both bounds are certified for truncation.  The float series give an
-    ``mpf``, which also covers cutting the exact sum to its leading bits
-    before it is rounded to the working precision; the rounding is not in
-    it.  The exact integral series give a ``Fraction``.
+    The bound is certified for truncation.  It is an ``mpf`` for the rounded
+    series, and then also covers cutting the exact sum to its leading bits but
+    not its one rounding, or a ``Fraction`` for the exact integral series.
     """
 
     value: Scalar
@@ -137,47 +134,56 @@ def _quotient(num: int, den: int, prec: int) -> mpf:
     return mpf(((num << shift) // den, cn - cd - shift))
 
 
-def hyp_sum(a, b, z, digits: int) -> SeriesResult:
-    """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
+def _exact_sum(a, b, z, digits: int):
+    """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k, exactly, for z and parameters
+    given as kernel.gaussian triples (p, q, d), with no b_j a nonpositive integer.
 
     The term ratio z prod (a_i + k) / prod (b_j + k) is an exact quotient N/D
-    of Gaussian integers, taken as N conj(D)/|D|^2 (as N/D for a real D).  So
-    t_k = P_k/Q_k with a Gaussian integer P_k over the running real product
-    Q_k, and the partial sum is one exact S_k/Q_k.
-
-    No stop comes before k0, the least k at which :func:`_ratio_bound` gives
-    rho_k < 1: t_0 ... t_k0 are summed by binary splitting, then one term at a
-    time.  The sum stops at the first k >= k0 with |t_k|/(1 - rho_k) <
-    10^-digits |S_k/Q_k|, an exact test on the ints (on their squares for a
-    non-real series) behind a bit-length test that it implies; the reported
-    bound is |t_k| rho_k/(1 - rho_k), which the terms after t_k do not exceed.
-    The series terminates, exactly, at the first N = 0.  S_k/Q_k is rounded
-    once, at digits + 15 working digits, to an mpf (an mpc when z or a
-    parameter is non-real).  The ratio test cannot hold before k ~ |z|, so the
-    term budget grows with |z|; a sum that outruns it raises PrecisionError."""
-    (zp, zq, zd), a, b = gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b]
+    of Gaussian integers, taken as N conj(D)/|D|^2 (N/D, on plain ints for a
+    real series), so t_k = P_k/Q_k over the running real product Q_k and the
+    partial sum is one exact S_k/Q_k.  No stop comes before k0, the least k at
+    which :func:`_ratio_bound` gives rho_k = u/v < 1: t_0 ... t_k0 are summed
+    by binary splitting, then one term at a time to the first k with
+    |t_k| v/w < 10^-digits |S_k/Q_k|, w = v - u (an exact test on the ints, on
+    their squares for a non-real series, behind a bit-length test it implies);
+    the terms after t_k sum to at most |t_k| u/w.  The series ends exactly at
+    the first N = 0.  The ratio test cannot hold before k ~ |z|, so the term
+    budget grows with |z|; a sum that outruns it raises PrecisionError.
+    Returns (cplx, sr, si, pr, pi, q, terms, (u, w) or None at an exact end):
+    whether the series is non-real, S_k = (sr + i si)/q, t_k = (pr + i pi)/q
+    and the number of terms."""
+    zp, zq, zd = z
     cplx = bool(zq) or any(q for _, q, _ in a + b)
     # The denominators of z and of the parameters are constant factors of N/D.
     n0, d0 = prod(d for *_, d in b), zd * prod(d for *_, d in a)
     zr, zi = zp * n0, zq * n0
 
-    def ratio(k: int):
-        nr, ni, dr, di = zr, zi, d0, 0
-        for p, q, d in a:
-            x = p + k * d
-            nr, ni = nr * x - ni * q, nr * q + ni * x
-        for p, q, d in b:
-            x = p + k * d
-            dr, di = dr * x - di * q, dr * q + di * x
-        if di:
-            return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
-        return (nr, ni, dr) if dr > 0 else (-nr, -ni, -dr)
+    if cplx:
+        def ratio(k: int):
+            nr, ni, dr, di = zr, zi, d0, 0
+            for p, q, d in a:
+                x = p + k * d
+                nr, ni = nr * x - ni * q, nr * q + ni * x
+            for p, q, d in b:
+                x = p + k * d
+                dr, di = dr * x - di * q, dr * q + di * x
+            if di:
+                return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+            return (nr, ni, dr) if dr > 0 else (-nr, -ni, -dr)
+    else:
+        def ratio(k: int):
+            nr, dr = zr, d0
+            for p, _, d in a:
+                nr *= p + k * d
+            for p, _, d in b:
+                dr *= p + k * d
+            return (nr, 0, dr) if dr > 0 else (-nr, 0, -dr)
 
     budget = 100000 + 4 * (abs(zp) + abs(zq)) // zd
     # The first zero ratio: z = 0, or a nonpositive integer a_i.
     ends = [-p // d for p, q, d in a if not q and p <= 0 and not p % d]
     end = min(ends, default=None) if zp or zq else 0
-    rho = _ratio_bound((zp, zq, zd), a, b)
+    rho = _ratio_bound(z, a, b)
     k = _least(lambda j: rho(j) is not None, budget if end is None else min(end, budget))
     if k != end and rho(k) is None:
         raise PrecisionError("series failed to converge")
@@ -198,7 +204,7 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
             vt, w = v * ten, v - u
             if (abs(pr) * vt < abs(sr) * w if not cplx else
                     (pr * pr + pi * pi) * vt * vt < (sr * sr + si * si) * w * w):
-                break
+                return cplx, sr, si, pr, pi, q, k + 1, (u, w)
         mr, mi, d = ratio(k)
         if cplx:
             pr, pi = pr * mr - pi * mi, pr * mi + pi * mr
@@ -208,20 +214,32 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
         sr = sr * d + pr
         q *= d
         k += 1
+    return cplx, sr, si, pr, pi, q, k + 2, None
+
+
+def hyp_sum(a, b, z, digits: int) -> SeriesResult:
+    """sum_k prod_i (a_i)_k / prod_j (b_j)_k z^k; a pFq appends 1 to b for k!.
+
+    :func:`_exact_sum`'s sum rounded once, at digits + 15 working digits, to an
+    mpf (an mpc when z or a parameter is non-real); tail_bound is |t_k| u/w plus
+    the cut of S_k and Q_k to their leading bits.  A pole b_j raises ParameterError."""
+    if poles := [x for x in b if ComplexParam.coerce(x).is_nonpositive_integer]:
+        raise ParameterError(f"lower parameter {poles[0]} is a pole")
+    cplx, sr, si, pr, pi, q, terms, factor = _exact_sum(
+        [gaussian(x) for x in a], [gaussian(x) for x in b], gaussian(z), digits)
     with mp.workdps(digits + _EXTRA):
         prec = mp.prec
-        value = _quotient(sr, q, prec)
-        if cplx:
-            value = mpc(value, _quotient(si, q, prec))
+        rounded = lambda re, im: (mpc(_quotient(re, q, prec), _quotient(im, q, prec)) if cplx
+                                  else _quotient(re, q, prec))
+        value = rounded(sr, si)
         # The cut of S and Q to their leading bits, in the bound.
         cut = max(q.bit_length(), sr.bit_length(), si.bit_length()) > prec + 64
         tail = mp.ldexp(abs(value), -prec - 60) if cut else mpf(0)
-        if k == end:
-            return SeriesResult(value, k + 2, tail)
-        term = _quotient(pr, q, prec)
-        if cplx:
-            term = mpc(term, _quotient(pi, q, prec))
-        return SeriesResult(value, k + 1, tail + abs(term) * u / w)
+        if factor:
+            tail += abs(rounded(pr, pi)) * factor[0] / factor[1]
+        return SeriesResult(value, terms, tail)
+
+
 def exp_series(x, digits: int) -> SeriesResult:
     """exp(x) = sum x^k / k!; for real x < 0, 1/exp(-x)."""
     x = ComplexParam.coerce(x)
@@ -248,12 +266,10 @@ def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
     """1F1(1; b_den; z) = sum_k z^k / (b_den)_k; for real z < 0 it is summed
     as e^z 1F1(b_den - 1; b_den; -z) (Kummer, DLMF 13.2.39)."""
     b_den, z = ComplexParam.coerce(b_den), ComplexParam.coerce(z)
-    if b_den.is_nonpositive_integer:
-        raise ParameterError(f"b = {b_den} is a pole of 1F1")
     if not (z.is_real and z.re < 0):
         return hyp_sum((), (b_den,), z, digits)
-    # Each factor to one digit more, so that their product meets digits.
-    e, f = exp_series(z, digits + 1), hyp_sum((b_den - 1,), (b_den, 1), -z, digits + 1)
+    # Each factor to one digit more, so that their product meets digits; f first, for its pole test.
+    f, e = hyp_sum((b_den - 1,), (b_den, 1), -z, digits + 1), exp_series(z, digits + 1)
     with mp.workdps(digits + _EXTRA):
         tail = e.value * f.tail_bound + abs(f.value) * e.tail_bound + e.tail_bound * f.tail_bound
         return SeriesResult(e.value * f.value, e.terms_used + f.terms_used, tail)
@@ -261,78 +277,37 @@ def hyp_1f1(b_den, z, digits: int) -> SeriesResult:
 
 def hyp_2f2(a1, a2, b1, b2, z, digits: int) -> SeriesResult:
     """2F2(a1, a2; b1, b2; z) = sum_k (a1)_k (a2)_k / ((b1)_k (b2)_k) z^k / k!."""
-    for b in (b1, b2):
-        if ComplexParam.coerce(b).is_nonpositive_integer:
-            raise ParameterError(f"denominator parameter {b} is a pole of 2F2")
     return hyp_sum((a1, a2), (b1, b2, 1), z, digits)
 
 
-def _certified_sum(steps, digits: int) -> SeriesResult:
-    """Sum exact positive terms until the tail is below 10^-digits of the sum.
-
-    ``steps`` yields triples (f_k, T_k, (u_k, v_k)) of positive ints: the term
-    is t_k = T_k/D_k over the running denominator D_k = f_0 f_1 ... f_k, and
-    t_k u_k/v_k bounds sum_{j>k} t_j.  The partial sum is kept as S_k/D_k with
-    S_k = S_{k-1} f_k + T_k, and the stopping test t_k (u_k/v_k) 10^digits <
-    S_k/D_k is the integer test T_k u_k 10^digits < S_k v_k, so no gcd is taken
-    before the two Fractions returned.  The series below get u_k/v_k from a
-    geometric majorant: if r_k < 1 bounds every ratio t_{j+1}/t_j with j >= k,
-    the tail is at most t_k r_k/(1 - r_k).
-    """
-    scale = 10**digits
-    total, den = 0, 1
-    for k, (factor, term, (u, v)) in enumerate(steps):
-        den *= factor
-        total = total * factor + term
-        if term * u * scale < total * v:
-            return SeriesResult(Fraction(total, den), k + 1, Fraction(term * u, den * v))
+def _exact_fraction(num: int, den: int, a, b, z, digits: int) -> SeriesResult:
+    """num/den times a real series of :func:`_exact_sum` that does not end, in reduced Fractions."""
+    _, s, _, t, _, q, terms, (u, w) = _exact_sum(a, b, z, digits)
+    return SeriesResult(Fraction(num * s, den * q), terms, Fraction(num * t * u, den * q * w))
 
 
 def beta_exp_integral(n: int, digits: int) -> SeriesResult:
     """int_0^1 (1-t)^{n-1} e^{nt} dt = sum_k n^k (n-1)!/(n+k)!, exactly.
 
-    Termwise B(k+1, n) = k!(n-1)!/(n+k)!, so t_k = n^k/D_k with
-    D_k = n(n+1)...(n+k).  The term ratio n/(n+k+1) falls, so
-    r_k = n/(n+k+1) and the tail after t_k is at most t_k n/(k+1).
-    Scaled by n^n/(n-1)!, the sum is the Taylor remainder
-    e^n - sum_{k<n} n^k/k!.
+    Termwise B(k+1, n) = k!(n-1)!/(n+k)!, so the sum is 1F1(1; n+1; n)/n:
+    the incomplete-gamma target gamma(z,z)/(z^{z-1}e^{-z}) at z = n, over n.
+    Scaled by n^n/(n-1)!, it is the Taylor remainder e^n - sum_{k<n} n^k/k!.
     """
     if n < 1:
         raise ParameterError("requires n >= 1")
-
-    def steps():
-        power = 1  # n^k
-        k = 0
-        while True:
-            yield n + k, power, (n, k + 1)
-            k += 1
-            power *= n
-
-    return _certified_sum(steps(), digits)
+    return _exact_fraction(1, n, [], [(n + 1, 0, 1)], (n, 0, 1), digits)
 
 
 def exp_rational_integral(l: int, n: int, digits: int) -> SeriesResult:
     """int_0^1 t^{-l/n} e^{tl/n} (l(t-1) + n) dt, claimed to equal n e^{l/n}.
 
-    Integrating e^{tl/n} term by term gives, exactly,
-    sum_k (l/n)^k/k! [ln/f(k+1) + n(n-l)/f(k)] with f(j) = n(j+1) - l > 0.
-    Over D_k = n^k k! f(0)...f(k+1), which absorbs both bracket denominators,
-    the term numerator is l^k f(0)...f(k-1) [ln f(k) + n(n-l) f(k+1)].  The
-    bracket falls in k, so every ratio t_{j+1}/t_j with j >= k is at most
-    r_k = (l/n)/(k+1), and the tail after t_k is at most t_k l/f(k).
+    Integrating e^{tl/n} term by term gives, exactly, with c = 1 - l/n,
+    sum_k (l/n)^k/k! [l/(k+c+1) + (n-l)/(k+c)]; the bracket is
+    n (k+2c)/((k+c)(k+c+1)) = 2n/(c+1) (2c+1)_k (c)_k/((2c)_k (c+2)_k), so
+    the integral is 2n^2/(2n-l) 2F2(2c+1, c; 2c, c+2; l/n).
     """
     if not (1 <= l < n):
         raise ParameterError("requires 1 <= l < n")
-
-    def steps():
-        f = lambda j: n * (j + 1) - l
-        lead = 1  # l^k f(0)...f(k-1)
-        factor = f(0) * f(1)  # D_0
-        k = 0
-        while True:
-            yield factor, lead * (l * n * f(k) + n * (n - l) * f(k + 1)), (l, f(k))
-            lead *= l * f(k)
-            k += 1
-            factor = n * k * f(k + 1)
-
-    return _certified_sum(steps(), digits)
+    # 2c + 1, c; 2c, c + 2, 1 (for k!); l/n, each over n.
+    return _exact_fraction(2 * n * n, 2 * n - l, [(3 * n - 2 * l, 0, n), (n - l, 0, n)],
+                           [(2 * n - 2 * l, 0, n), (3 * n - l, 0, n), (1, 0, 1)], (l, 0, n), digits)

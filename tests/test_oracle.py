@@ -82,14 +82,21 @@ def test_hyp_2f2_special_values():
 
 
 def test_nonpositive_integer_denominator_parameter_is_a_pole():
-    # ComplexParam.is_nonpositive_integer decides the poles of hyp_1f1,
-    # hyp_2f2 and the M-fraction's b alike.
+    # ComplexParam.is_nonpositive_integer decides the poles of hyp_sum (so of
+    # hyp_1f1 and hyp_2f2) and the M-fraction's b alike.
     for b in (0, -2):
         with pytest.raises(ParameterError):
             hyp_1f1(b, 1, 20)
     for b1, b2 in ((-3, 2), (2, -3)):
         with pytest.raises(ParameterError):
             hyp_2f2(1, 1, b1, b2, 1, 20)
+    # hyp_sum's own lower parameters, and Kummer's path, which would sum
+    # e^-60000 for seconds if it did not reject b before any term.
+    for a, b, z in (((), (-3,), 1), ((), (0,), 1), ((1,), (-2, 1), 2)):
+        with pytest.raises(ParameterError):
+            hyp_sum(a, b, z, 10)
+    with pytest.raises(ParameterError):
+        _within_seconds(1, hyp_1f1, 0, -60000, 5)
     cases = (0, -2, Fraction(-1, 2), 1, ComplexParam(-2, 1), ComplexParam(-2, 0))
     assert ([ComplexParam.coerce(x).is_nonpositive_integer for x in cases]
             == [True, True, False, False, False, True])
@@ -235,36 +242,43 @@ def test_integral_series_within_tail_bound_of_quadrature(series, quadrature, arg
     assert result.tail_bound * 10**50 < result.value
 
 
-def _reference_certified_sum(terms, digits):
-    """The stopping rule on reduced Fractions: terms yields (t_k, tail bound)."""
+def _reference_certified_sum(terms, a, b, z, digits):
+    """The stopping rule on reduced Fractions: terms yields t_k > 0, and
+    _ratio_bound's u/v for the series with parameters a, b and z bounds the
+    ratios after it; the sum stops at the first t_k v/(v - u) 10^digits < S_k."""
+    rho = _ratio_bound(gaussian(z), [gaussian(x) for x in a], [gaussian(x) for x in b])
     total = Fraction(0)
-    for k, (term, tail) in enumerate(terms):
+    for k, term in enumerate(terms):
         total += term
-        if tail * 10**digits < total:
-            return total, k + 1, tail
+        if bound := rho(k):
+            u, v = bound
+            if term * v * 10**digits < total * (v - u):
+                return total, k + 1, term * u / (v - u)
 
 
 def _reference_beta(n, digits):
     def terms():
         t, k = Fraction(1, n), 0
         while True:
-            yield t, t * n / (k + 1)
+            yield t
             k += 1
             t = t * n / (n + k)
 
-    return _reference_certified_sum(terms(), digits)
+    # 1F1(1; n + 1; n)/n.
+    return _reference_certified_sum(terms(), (), (n + 1,), n, digits)
 
 
 def _reference_rational(l, n, digits):
     def terms():
         power, k = Fraction(1), 0
         while True:
-            t = power * (Fraction(l * n, n * (k + 2) - l) + Fraction(n * (n - l), n * (k + 1) - l))
-            yield t, t * l / (n * (k + 1) - l)
+            yield power * (Fraction(l * n, n * (k + 2) - l) + Fraction(n * (n - l), n * (k + 1) - l))
             k += 1
             power = power * Fraction(l, n) / k
 
-    return _reference_certified_sum(terms(), digits)
+    # 2n^2/(2n - l) 2F2(2c + 1, c; 2c, c + 2; l/n) with c = 1 - l/n.
+    c = Fraction(n - l, n)
+    return _reference_certified_sum(terms(), (2 * c + 1, c), (2 * c, c + 2, 1), Fraction(l, n), digits)
 
 
 @pytest.mark.parametrize("digits", [1, 5, 25, 200])
