@@ -21,7 +21,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -155,7 +154,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     reports = identities.run_suite(
         selection, max_n=args.max_n, k_max=args.depth, digits=args.digits
     )
-    rows = [asdict(r) for r in reports]
+    rows = [dict(vars(r)) for r in reports]  # shallow: asdict would deep-copy every witness
     n_failed = sum(1 for r in reports if not r.passed)
     record = _record(
         "verify",

@@ -21,10 +21,12 @@ b_m = (B0_R + B1_R J)/D for m = p J + R over one D, from the index ``start``
 on (2 after an exception at m = 1, as the M-fraction's a_1 = b), so the
 cleared coefficients are counted up, one stream per residue R in turn, with
 the constant scale r_m = D and no rule call, gcd or Fraction.  Any other
-rule (an equivalence transform) is cleared value by value.  The loop can
-also advance many steps at once with no row in between (a run); a long real
-run is one 2x2 matrix from a balanced product tree of short stretches of the
-same steps (binary splitting, Haible & Papanikolaou 1998).
+rule (an equivalence transform) is cleared value by value.  Each step is
+decided in the loop, whichever path its coefficients came from: a zero a_k
+raises ParameterError there, before the step.  The loop can also advance
+many steps at once with no row in between (a run); a real run is one 2x2
+matrix from a balanced product tree of short stretches of the same steps
+(binary splitting, Haible & Papanikolaou 1998).
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
@@ -176,13 +178,12 @@ def _progression(rule: Optional[CoefficientRule]) -> Optional[tuple]:
     return max(rule.a.start, rule.b.start), d, pieces
 
 
-# A run of _TREE_MIN or more real steps is built as a balanced product tree of
-# _LEAF-step leaves; a shorter run, and every Gaussian run, steps in the
-# loop.  Chosen on the exact-deep benchmark items (1000 to 5000 digits,
-# in-process timing): leaves of 8, 16, 32 and 64 steps were within 4% of each
-# other, trees from 16 to 64 steps up within 1%, from 128 up 4% slower.
+# Every real run is built as a balanced product tree of _LEAF-step leaves;
+# every Gaussian run steps in the loop.  Chosen on the exact-deep benchmark
+# items (1000 to 5000 digits, in-process timing): leaves of 8, 16, 32 and 64
+# steps were within 4% of each other, and a tree for every real run was 2.6%
+# faster than trees for runs of 64 steps or more alone.
 _LEAF = 16
-_TREE_MIN = 64
 # estimate_limit looks for a run only where the two sides of the stopping test
 # are at least _RUN_BITS bits apart; nearer the stop the skip test is cheaper.
 # Chosen on the estimate_limit calls of the cli-burst and verify-suite
@@ -205,69 +206,55 @@ def _product(ms: list) -> tuple:
     return ms[0]
 
 
-def _cleared(rule: CoefficientRule, stop, last: Optional[tuple] = None) -> Iterator[tuple]:
-    """(Re a'_k, Im a'_k, Re b'_k, Im b'_k, r_k) for k = 1 .. stop - 1 from
-    rule calls: r_k = lcm(den a_k, den b_k), a'_k = r_k r_{k-1} a_k and
+def _cleared(rule: CoefficientRule) -> Iterator[tuple]:
+    """(Re a'_k, Im a'_k, Re b'_k, Im b'_k, r_k) for k = 1, 2, ... from rule
+    calls: r_k = lcm(den a_k, den b_k), a'_k = r_k r_{k-1} a_k and
     b'_k = r_k b_k, each value taken as x = (re + i im)/den from
-    :func:`gaussian`.  Then, when ``last`` = (Re, Im of D a_k, Re, Im of
-    D b_k, D) is given for k = stop, that step, with a'_k = r_{k-1} D a_k."""
+    :func:`gaussian`."""
     r_prev = 1
-    for k in itertools.count(1) if stop == math.inf else range(1, stop):
+    for k in itertools.count(1):
         (ar, ai, da), (br, bi, db) = gaussian(rule.a(k)), gaussian(rule.b(k))
         r = math.lcm(da, db)
         if r != 1:
             ra, rb = r // da, r // db
             ar, ai, br, bi = ar * ra, ai * ra, br * rb, bi * rb
-        if not ar and not ai:
-            raise ParameterError(f"partial numerator a_{k} is zero")
         if r_prev != 1:
             ar, ai = ar * r_prev, ai * r_prev
         yield ar, ai, br, bi, r
         r_prev = r
-    if last is not None:
-        ar, ai, br, bi, r = last
-        if not ar and not ai:
-            raise ParameterError(f"partial numerator a_{stop} is zero")
-        yield ar * r_prev, ai * r_prev, br, bi, r
-
-
-def _zero_at(k: int) -> Iterator[tuple]:
-    """An iterator that raises at its first item: a'_k = 0."""
-    raise ParameterError(f"partial numerator a_{k} is zero")
-    yield
 
 
 def _coefficients(rule: CoefficientRule, form: Optional[tuple]) -> Iterator[tuple]:
     """The cleared (Re a'_k, Im a'_k, Re b'_k, Im b'_k, r_k) for k = 1, 2, ...
 
     With no progression every step comes from :func:`_cleared`.  With the
-    :func:`_progression` ``form``, so do the steps before its start; at the
-    start and after it r_k = D, and past the start a'_k = D (A0 + A1 J) and
-    b'_k = B0 + B1 J for k = p J + R are counted up with no rule call, one
-    stream per residue R, taken in turn, up to a zero a'_k, where the
-    iterator raises."""
+    :func:`_progression` ``form``, so do the steps before its start.  From
+    the start on r_k = D: the start step is a'_k = r_{k-1} D a_k and
+    b'_k = D b_k, and past it a'_k = D (A0 + A1 J) and b'_k = B0 + B1 J for
+    k = p J + R are counted up with no rule call, one stream per residue R,
+    taken in turn."""
     if form is None:
-        return _cleared(rule, math.inf)
+        return _cleared(rule)
     start, d, pieces = form
-    p, count, streams, zero = len(pieces), itertools.count, [], math.inf
+    p, count, streams = len(pieces), itertools.count, []
     for k in range(start + 1, start + p + 1):
         j, r = divmod(k, p)
         a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[r]
         streams.append(zip(count(d * (a0r + a1r * j), d * a1r), count(d * (a0i + a1i * j), d * a1i),
                            count(b0r + b1r * j, b1r), count(b0i + b1i * j, b1i),
                            itertools.repeat(d)))
-        # this residue's first zero a'_k past the start: A0 + A1 J = 0 in both parts
-        a0, a1 = (a0r, a1r) if a1r or a0r else (a0i, a1i)
-        z = -a0 // a1 if a1 and not a0 % a1 else None if a1 or a0 else j
-        if z is not None and z >= j and not (a0r + a1r * z or a0i + a1i * z):
-            zero = min(zero, k + p * (z - j))
+
+    def first():  # the steps before the start, then the start step
+        r = 1
+        for step in itertools.islice(_cleared(rule), start - 1):
+            yield step
+            r = step[4]
+        j, i = divmod(start, p)
+        a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[i]
+        yield r * (a0r + a1r * j), r * (a0i + a1i * j), b0r + b1r * j, b0i + b1i * j, d
+
     later = streams[0] if p == 1 else itertools.chain.from_iterable(zip(*streams))
-    if zero != math.inf:
-        later = itertools.chain(itertools.islice(later, zero - start - 1), _zero_at(zero))
-    j, r = divmod(start, p)
-    a0r, a0i, a1r, a1i, b0r, b0i, b1r, b1i = pieces[r]
-    last = (a0r + a1r * j, a0i + a1i * j, b0r + b1r * j, b0i + b1i * j, d)
-    return itertools.chain(_cleared(rule, start, last), later)
+    return itertools.chain(first(), later)
 
 
 def _raw_convergents(spec: ExpansionSpec,
@@ -290,8 +277,8 @@ def _raw_convergents(spec: ExpansionSpec,
     a'_0 = s_0^2 makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  While every
     imaginary part is zero, the step is the real one on ints alone.
 
-    A real run of _TREE_MIN or more steps on the progression is one 2x2
-    matrix.  Its leaves are stretches of _LEAF of the same steps, each run
+    A zero a'_k raises ParameterError before its step.  A real run is one
+    2x2 matrix.  Its leaves are stretches of _LEAF of the same steps, each run
     from the identity (P'_k, P'_{k-1}, Q'_k, Q'_{k-1}) = (1, 0, 0, 1), which
     leaves there the rows of the stretch's matrix; :func:`_product`
     multiplies them, and the run's end applies the product to both columns,
@@ -304,21 +291,21 @@ def _raw_convergents(spec: ExpansionSpec,
         while True:
             k += n or 1
             n = yield k, pr, pi, s, 0, pr, pi, s, 0, 0.0, 0, s
-    start = form[0] if form else math.inf
     real = not pi
     ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
-    k, end, tree, leaf, tree_min, log2 = 0, 0, False, _LEAF, _TREE_MIN, math.log2
+    k, end, tree, leaf, log2 = 0, 0, False, _LEAF, math.log2
     n = yield 0, pr, pi, qr, qi, ppr, ppi, qpr, qpi, 0.0, s**4, s
     for ar, ai, br, bi, r in _coefficients(spec.rule, form):
         if n:  # a run to k + n: an holds the product of |a'_j|^2 up to mark
             end, la, an, n = k + n, 0.0, 1, None
             mark = min(k + leaf, end)
-            tree = (end - k >= tree_min and k >= start and real
-                    and not any(x for piece in form[2] for x in piece[1::2]))
+            tree = real and not any(x for piece in form[2] for x in piece[1::2])
             if tree:
                 column, leaves = (pr, ppr, qr, qpr), []
                 pr, ppr, qr, qpr = 1, 0, 0, 1
         k += 1
+        if not ar and not ai:
+            raise ParameterError(f"partial numerator a_{k} is zero")
         s *= r
         if real and not ai and not bi:
             ppr, pr = pr, br * pr + ar * ppr
@@ -382,6 +369,8 @@ def _unscaled(re: int, im: int, s: int) -> Scalar:
 
 def _rows(spec: ExpansionSpec, depth: int) -> Iterator[tuple]:
     """The rows k = 0..depth (inclusive) of :func:`_raw_convergents`."""
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ParameterError(f"depth must be >= 0 and an int, not {depth!r}")
     if depth < 0:
         raise ParameterError("depth must be >= 0")
     return itertools.islice(_raw_convergents(spec, _progression(spec.rule)), depth + 1)
@@ -535,9 +524,9 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     By the determinant identity |x_k| = |D_k| for D_k = det M a'_0...a'_k, and
     |D_k| never falls, since |a'_j| >= 1 for a nonzero Gaussian integer.  No
     product is kept: ``log_step`` is a float sum of log2 det(M)^2 and of
-    log2 of integers x >= 1, each the product of |a'_j|^2 over one or more
-    consecutive steps (the steps since the last check, or at most _LEAF
-    steps of a run), T <= k + 2 terms in all.  math.log2 of an int is within
+    log2 of integers x >= 1, one per row as it arrives, skipped or not: each
+    x is |a'_k|^2 of one step, or the product of |a'_j|^2 over at most _LEAF
+    steps of a run, T <= k + 2 terms in all.  math.log2 of an int is within
     2^-52 (1 + log2 x) of log2 x (the int rounded to a double, then log2
     within an ulp), and each addition of terms >= 0 rounds by at most
     2^-53 log_step, so log_step is within err = (k + 2)(log_step + 1) 2^-52 of
@@ -570,7 +559,7 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       :func:`_certified_run` gives the n steps after k that this proves not
       small, for slack = floor(log_step - err - 1) + tol_bits - 4(mb + 1 + u),
       at most depth_cap() - k.  The walk advances them at once (a product
-      tree for a long real run), and the loop goes on with step k + n + 1,
+      tree for a real run), and the loop goes on with step k + n + 1,
       which is checked.  Every step in the run would only have reset the
       streak, which is 0 after the run too, and that check sees the same
       pairs at k + n + 1 and k + n as step by step: no depth or value moves.
@@ -590,7 +579,7 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     denominator, so the part is rounded twice, not once.  The result is an
     mpc when the limit is non-real.
     """
-    if not isinstance(target_digits, int) or target_digits < 1:
+    if isinstance(target_digits, bool) or not isinstance(target_digits, int) or target_digits < 1:
         raise ParameterError("target_digits must be an integer >= 1")
     cap = depth_cap()
     scale = 10**target_digits
@@ -606,17 +595,14 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
     prev_in = False
     small_streak = 0
     walk = _raw_convergents(spec, form)
-    held = 1  # the product of |a'_j|^2 not yet in log_step
     for k, pr, pi, qr, qi, ppr, ppi, qpr, qpi, _, an, _ in walk:
         if k > cap:
             raise NonConvergenceError(f"{spec.name} did not converge within depth {cap}")
-        held *= an
+        log_step += math.log2(an) if an else -math.inf
         cur_in = lo < pr < hi and lo < qr < hi and lo < pi < hi and lo < qi < hi
         if cur_in and prev_in:  # not small, provably: no image, no product
             small_streak = 0
             continue
-        log_step += math.log2(held) if held else -math.inf
-        held = 1
         nr, ni, dr, di = _image(m, pr, pi, qr, qi)
         npr, npi, dpr, dpi = _image(m, ppr, ppi, qpr, qpi)
         if not ((qr or qi) and (dr or di) and (qpr or qpi) and (dpr or dpi)):

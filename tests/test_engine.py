@@ -55,8 +55,9 @@ def test_convergents_e_euler_table():
 def test_raw_table_matches_the_convergents_raw_pairs():
     for spec in (make_e_euler(), make_exp_n(3), make_m_fraction(Fraction(1, 2), ComplexParam(2, 3))):
         assert raw_table(spec, 12) == [(c.p_raw, c.q_raw) for c in convergents(spec, 12)]
-    with pytest.raises(ParameterError, match="depth must be >= 0"):
-        raw_table(make_exp_n(3), -1)
+    for depth in (-1, True, 2.0, "3"):
+        with pytest.raises(ParameterError, match="depth must be >= 0"):
+            raw_table(make_exp_n(3), depth)
 
 
 def test_convergents_exp_n_depth0():
@@ -262,7 +263,7 @@ def test_estimate_limit_depth_cap(monkeypatch):
         estimate_limit(make_e_euler(), 30)
 
 
-@pytest.mark.parametrize("digits", [-1, 0, 2.5, Fraction(3), "10", None])
+@pytest.mark.parametrize("digits", [-1, 0, 2.5, Fraction(3), "10", None, True])
 def test_estimate_limit_rejects_a_target_that_is_not_a_positive_int(digits):
     # 0 once returned 49/18 at depth 2; -1 and 2.5 failed with AttributeError.
     with pytest.raises(ParameterError, match="target_digits must be an integer >= 1"):
@@ -931,6 +932,33 @@ def test_a_zero_partial_numerator_raises_at_its_index(monkeypatch, zero_at):
     with pytest.raises(ParameterError, match=f"a_{zero_at} is zero"):
         raw_table(spec, zero_at)
     assert len(raw_table(spec, zero_at - 1)) == zero_at
+
+
+@pytest.mark.parametrize("a, zero_at", [
+    (_linear(1, 1, first=0), 1),  # a_1 = 0, from a rule call
+    (_linear(-2, 1, first=5), 2),  # a_2 = 0 on the progression's start step
+    (_linear(ComplexParam(-3, -3), ComplexParam(1, 1)), 3),  # a_m = (m - 3)(1 + i)
+    (_linear(0, ComplexParam(0, 1)), None),  # a_m = i m: Re a'_k = 0, never zero
+])
+def test_a_zero_partial_numerator_is_found_on_both_paths(a, zero_at):
+    # The progression path and the per-step path raise at the same index
+    # with the same message, through raw_table and estimate_limit alike, and
+    # agree on every row before it; row 0 takes no coefficient.
+    spec = ExpansionSpec(name="zero-a", head=1, rule=CoefficientRule(a=a, b=_linear(1000, 1)))
+    step = _per_step(spec)
+    assert raw_table(spec, 0) == raw_table(step, 0) == [(1, 1)]
+    if zero_at is None:
+        assert raw_table(spec, 80) == raw_table(step, 80)
+        for digits in (300, 3000):
+            assert estimate_limit(spec, digits) == estimate_limit(step, digits)
+        return
+    assert raw_table(spec, zero_at - 1) == raw_table(step, zero_at - 1)
+    for target in (spec, step):
+        with pytest.raises(ParameterError, match=f"^partial numerator a_{zero_at} is zero$"):
+            raw_table(target, zero_at)
+        for digits in (300, 3000):
+            with pytest.raises(ParameterError, match=f"^partial numerator a_{zero_at} is zero$"):
+                estimate_limit(target, digits)
 
 
 @pytest.mark.parametrize("zero_at", [7, 41, 300])

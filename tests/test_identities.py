@@ -56,8 +56,9 @@ def test_q_closed_form_passes():
     for n in (1, 2, 5, 10):
         assert check_q_closed_form(n, 100).passed
     assert check_q_closed_form(3, 0).witness == {"Q_raw": ["1"]}
-    with pytest.raises(ParameterError, match="depth must be >= 0"):
-        check_q_closed_form(3, -1)
+    for depth in (-1, True, 2.0, "3"):
+        with pytest.raises(ParameterError, match="depth must be >= 0"):
+            check_q_closed_form(3, depth)
 
 
 def reference_sec4(z, n, k_max):
