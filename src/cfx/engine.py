@@ -24,16 +24,18 @@ the constant scale r_m = D and no rule call, gcd or Fraction.  Any other
 rule (an equivalence transform) is cleared value by value.  Each step is
 decided in the loop, whichever path its coefficients came from: a zero a_k
 raises ParameterError there, before the step.  The loop can also advance
-many steps at once with no row in between (a run); a real run is one 2x2
-matrix from a balanced product tree of short stretches of the same steps
-(binary splitting, Haible & Papanikolaou 1998).
+many steps at once with no row in between (a run); every run is one 2x2
+matrix, of ints for a real run and of Gaussian integers otherwise, from a
+balanced product tree of short stretches of the same steps (binary
+splitting, Haible & Papanikolaou 1998).
 :func:`convergents` divides the scale back out, so tables show the raw P_k,
 Q_k of the fraction as given: closed forms for denominators refer to them,
 while reduced values match printed convergent tables.  :func:`raw_table`
 gives those pairs alone, with no convergent reduced.  A value whose cleared
 form has a nonzero imaginary part is a ComplexParam, and every other value an
 int or a Fraction.  :func:`estimate_limit` works on the pairs and
-reduces only at return.  Its stopping test rests on the determinant identity
+reduces only a real limit, at return; a non-real one is rounded once from
+the unreduced pairs.  Its stopping test rests on the determinant identity
 P_k Q_{k-1} - P_{k-1} Q_k = (-1)^{k-1} a_1...a_k: a float sum of the
 log2 |a_k|^2 bounds the step from below.  For a rule with a progression, an
 integer bound from the raw parts at k and k-1 and from the progression then
@@ -54,7 +56,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Generator, Iterator, Optional
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from .kernel import (
     ComplexParam,
@@ -63,6 +65,7 @@ from .kernel import (
     Scalar,
     SingularError,
     gaussian,
+    round_quotient,
 )
 
 DEFAULT_DEPTH_CAP = 10**6
@@ -178,11 +181,13 @@ def _progression(rule: Optional[CoefficientRule]) -> Optional[tuple]:
     return max(rule.a.start, rule.b.start), d, pieces
 
 
-# Every real run is built as a balanced product tree of _LEAF-step leaves;
-# every Gaussian run steps in the loop.  Chosen on the exact-deep benchmark
-# items (1000 to 5000 digits, in-process timing): leaves of 8, 16, 32 and 64
-# steps were within 4% of each other, and a tree for every real run was 2.6%
-# faster than trees for runs of 64 steps or more alone.
+# Every run, real or Gaussian, is built as a balanced product tree of
+# _LEAF-step leaves.  Chosen on the exact-deep benchmark items (1000 to 5000
+# digits, in-process timing): leaves of 8, 16, 32 and 64 steps were within
+# 4% of each other, and a tree for every real run was 2.6% faster than trees
+# for runs of 64 steps or more alone.  On the complex-z
+# items and inc-gamma(2+3i) at 10000 digits, Gaussian leaves of 8, 16 and 32
+# steps were within 1% of each other.
 _LEAF = 16
 # estimate_limit looks for a run only where the two sides of the stopping test
 # are at least _RUN_BITS bits apart; nearer the stop the skip test is cheaper.
@@ -197,12 +202,23 @@ _LEADING_MIN = 1024
 
 
 def _product(ms: list) -> tuple:
-    """M_1 M_2 ... M_n for 2x2 int matrices (m00, m01, m10, m11), multiplied
-    pairwise up a balanced tree."""
+    """M_1 M_2 ... M_n for 2x2 matrices multiplied pairwise up a balanced
+    tree: of ints (m00, m01, m10, m11), or of Gaussian integers as (re, im)
+    pairs (m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i)."""
+    if len(ms[0]) == 4:
+        while len(ms) > 1:
+            pairs = iter(ms)
+            ms = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                  for (a, b, c, d), (e, f, g, h) in zip(pairs, pairs)] + ms[len(ms) & ~1:]
+        return ms[0]
     while len(ms) > 1:
         pairs = iter(ms)
-        ms = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-              for (a, b, c, d), (e, f, g, h) in zip(pairs, pairs)] + ms[len(ms) & ~1:]
+        ms = [(ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+               ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+               cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+               cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+              for (ar, ai, br, bi, cr, ci, dr, di), (er, ei, fr, fi, gr, gi, hr, hi)
+              in zip(pairs, pairs)] + ms[len(ms) & ~1:]
     return ms[0]
 
 
@@ -277,14 +293,15 @@ def _raw_convergents(spec: ExpansionSpec,
     a'_0 = s_0^2 makes a'_0...a'_k = s_k s_{k-1} a_1...a_k.  While every
     imaginary part is zero, the step is the real one on ints alone.
 
-    A zero a'_k raises ParameterError before its step.  A real run is one
-    2x2 matrix.  Its leaves are stretches of _LEAF of the same steps, each run
+    A zero a'_k raises ParameterError before its step.  A run is one 2x2
+    matrix.  Its leaves are stretches of _LEAF of the same steps, each run
     from the identity (P'_k, P'_{k-1}, Q'_k, Q'_{k-1}) = (1, 0, 0, 1), which
-    leaves there the rows of the stretch's matrix; :func:`_product`
-    multiplies them, and the run's end applies the product to both columns,
-    so it gives P'_{k-1} and Q'_{k-1} as well.  Every other run is the same
-    steps with no row in between.  A spec with no rule has P_k = head,
-    Q_k = 1 and a_k = 0 for k >= 1: every step is zero."""
+    leaves there the rows of the stretch's matrix: 4 ints while the walk is
+    real, else 8, the four entries as (re, im) pairs.  The first Gaussian
+    step widens the run's real leaves so far to 8 ints.  :func:`_product`
+    multiplies the leaves, and the run's end applies the product to both
+    columns, so it gives P'_{k-1} and Q'_{k-1} as well.  A spec with no rule
+    has P_k = head, Q_k = 1 and a_k = 0 for k >= 1: every step is zero."""
     pr, pi, s = gaussian(spec.head)
     if spec.rule is None:
         n, k = (yield 0, pr, pi, s, 0, s, 0, 0, 0, 0.0, s**4, s), 0
@@ -293,16 +310,14 @@ def _raw_convergents(spec: ExpansionSpec,
             n = yield k, pr, pi, s, 0, pr, pi, s, 0, 0.0, 0, s
     real = not pi
     ppr, ppi, qpr, qpi, qr, qi = s, 0, 0, 0, s, 0  # P'_{k-1}, Q'_{k-1}, Q'_k
-    k, end, tree, leaf, log2 = 0, 0, False, _LEAF, math.log2
+    k, end, leaf, log2 = 0, 0, _LEAF, math.log2
     n = yield 0, pr, pi, qr, qi, ppr, ppi, qpr, qpi, 0.0, s**4, s
     for ar, ai, br, bi, r in _coefficients(spec.rule, form):
         if n:  # a run to k + n: an holds the product of |a'_j|^2 up to mark
             end, la, an, n = k + n, 0.0, 1, None
             mark = min(k + leaf, end)
-            tree = real and not any(x for piece in form[2] for x in piece[1::2])
-            if tree:
-                column, leaves = (pr, ppr, qr, qpr), []
-                pr, ppr, qr, qpr = 1, 0, 0, 1
+            column, leaves = (pr, pi, ppr, ppi, qr, qi, qpr, qpi), []
+            pr, pi, ppr, ppi, qr, qi, qpr, qpi = 1, 0, 0, 0, 0, 0, 1, 0
         k += 1
         if not ar and not ai:
             raise ParameterError(f"partial numerator a_{k} is zero")
@@ -312,7 +327,9 @@ def _raw_convergents(spec: ExpansionSpec,
             qpr, qr = qr, br * qr + ar * qpr
             a2 = ar * ar
         else:
-            real = False
+            if real:  # the first Gaussian step: a run's real leaves widen
+                real = False
+                leaves = [(a, 0, b, 0, c, 0, d, 0) for a, b, c, d in leaves] if end else None
             pr, pi, ppr, ppi = (br * pr - bi * pi + ar * ppr - ai * ppi,
                                 br * pi + bi * pr + ar * ppi + ai * ppr, pr, pi)
             qr, qi, qpr, qpi = (br * qr - bi * qi + ar * qpr - ai * qpi,
@@ -324,16 +341,15 @@ def _raw_convergents(spec: ExpansionSpec,
         an *= a2
         if k != mark:
             continue
-        if tree:
-            leaves.append((pr, ppr, qr, qpr))
-            pr, ppr, qr, qpr = 1, 0, 0, 1
+        leaves.append((pr, ppr, qr, qpr) if real else (pr, pi, ppr, ppi, qr, qi, qpr, qpi))
+        pr, pi, ppr, ppi, qr, qi, qpr, qpi = 1, 0, 0, 0, 0, 0, 1, 0
         if k != end:
             la, an, mark = la + log2(an), 1, min(k + leaf, end)
             continue
-        if tree:
-            (m00, m01, m10, m11), (p, pp, q, qp) = _product(leaves), column
-            pr, ppr = p * m00 + pp * m10, p * m01 + pp * m11
-            qr, qpr = q * m00 + qp * m10, q * m01 + qp * m11
+        if real:
+            pr, ppr, qr, qpr = _product([column[::2], _product(leaves)])
+        else:
+            pr, pi, ppr, ppi, qr, qi, qpr, qpi = _product([column, _product(leaves)])
         end = 0
         n = yield k, pr, pi, qr, qi, ppr, ppi, qpr, qpi, la, an, s
 
@@ -559,7 +575,7 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       :func:`_certified_run` gives the n steps after k that this proves not
       small, for slack = floor(log_step - err - 1) + tol_bits - 4(mb + 1 + u),
       at most depth_cap() - k.  The walk advances them at once (a product
-      tree for a real run), and the loop goes on with step k + n + 1,
+      tree), and the loop goes on with step k + n + 1,
       which is checked.  Every step in the run would only have reset the
       streak, which is 0 after the run too, and that check sees the same
       pairs at k + n + 1 and k + n as step by step: no depth or value moves.
@@ -572,12 +588,12 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
       skipped before the first such check.
 
     Returns the reduced Fraction when the image's cleared imaginary parts are
-    zero.  Otherwise the limit is the exact Gaussian rational num_k/den_k,
-    reduced, converted by :meth:`~cfx.kernel.ComplexParam.to_mp` at
-    target_digits + max(10, target_digits // 4) digits: each part's reduced
-    numerator is rounded to that precision and then divided by its
-    denominator, so the part is rounded twice, not once.  The result is an
-    mpc when the limit is non-real.
+    zero.  Otherwise the limit is the exact Gaussian rational
+    num_k/den_k = (re + i im)/n2 with re + i im = num_k conj(den_k) and
+    n2 = |den_k|^2, formed on the unreduced ints: each part is rounded once by
+    :func:`~cfx.kernel.round_quotient` at target_digits + max(10,
+    target_digits // 4) digits, with no gcd.  The result is an mpc, or an mpf
+    when im is 0.
     """
     if isinstance(target_digits, bool) or not isinstance(target_digits, int) or target_digits < 1:
         raise ParameterError("target_digits must be an integer >= 1")
@@ -649,8 +665,11 @@ def estimate_limit(spec: ExpansionSpec, target_digits: int) -> tuple[Scalar, int
         if small_streak >= 2:
             break
         prev_in = cur_in
-    value = _quotient(nr, ni, dr, di)
-    if not isinstance(value, ComplexParam):
-        return value, k
+    if not (ni or di):
+        return Fraction(nr, dr), k
+    re, im, n2 = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
     with mp.workdps(target_digits + max(10, target_digits // 4)):
-        return value.to_mp(), k
+        prec = mp.prec
+        if not im:
+            return round_quotient(re, n2, prec), k
+        return mpc(round_quotient(re, n2, prec), round_quotient(im, n2, prec)), k

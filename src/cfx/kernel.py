@@ -5,8 +5,8 @@ the Gaussian rationals of :class:`ComplexParam`.  Its recurrence clears the
 denominators (:func:`gaussian`) and steps on ints and Gaussian integers, held
 as (re, im) pairs of ints.  mpmath ``mpf``/``mpc``
 values appear only when an exact value is rounded (:func:`to_mp`, at the
-caller's ambient precision) for output, or by :func:`agrees` for comparison
-with an oracle.
+caller's ambient precision, or :func:`round_quotient`, once from an unreduced
+int quotient) for output, or by :func:`agrees` for comparison with an oracle.
 """
 
 from __future__ import annotations
@@ -241,6 +241,15 @@ def to_mp(x: Scalar) -> Scalar:
     if isinstance(x, ComplexParam):
         return x.to_mp()
     return x
+
+
+def round_quotient(num: int, den: int, prec: int) -> mpf:
+    """num/den for den > 0, rounded to prec bits once, from the leading
+    prec + 64 bits of each: the cut moves it by under 2^-(prec+61) of itself."""
+    cn, cd = max(num.bit_length() - prec - 64, 0), max(den.bit_length() - prec - 64, 0)
+    num, den = num >> cn, den >> cd
+    shift = max(prec + 64 + den.bit_length() - num.bit_length(), 0)
+    return mpf(((num << shift) // den, cn - cd - shift))
 
 
 def agrees(a: Scalar, b: Scalar, digits: int) -> bool:

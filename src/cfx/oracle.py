@@ -35,6 +35,7 @@ from .kernel import (
     Scalar,
     cut_plane_point,
     gaussian,
+    round_quotient,
 )
 
 # The float series round at 15 digits past their target.
@@ -123,15 +124,6 @@ def _split(ratios, lo: int, hi: int):
     br, bi, bq, btr, bti = _split(ratios, mid, hi)
     return (ar * br - ai * bi, ar * bi + ai * br, aq * bq,
             atr * bq + ar * btr - ai * bti, ati * bq + ar * bti + ai * btr)
-
-
-def _quotient(num: int, den: int, prec: int) -> mpf:
-    """num/den for den > 0, rounded to prec bits once, from the leading
-    prec + 64 bits of each: the cut moves it by under 2^-(prec+61) of itself."""
-    cn, cd = max(num.bit_length() - prec - 64, 0), max(den.bit_length() - prec - 64, 0)
-    num, den = num >> cn, den >> cd
-    shift = max(prec + 64 + den.bit_length() - num.bit_length(), 0)
-    return mpf(((num << shift) // den, cn - cd - shift))
 
 
 def _exact_sum(a, b, z, digits: int):
@@ -229,8 +221,9 @@ def hyp_sum(a, b, z, digits: int) -> SeriesResult:
         [gaussian(x) for x in a], [gaussian(x) for x in b], gaussian(z), digits)
     with mp.workdps(digits + _EXTRA):
         prec = mp.prec
-        rounded = lambda re, im: (mpc(_quotient(re, q, prec), _quotient(im, q, prec)) if cplx
-                                  else _quotient(re, q, prec))
+        rounded = lambda re, im: (
+            mpc(round_quotient(re, q, prec), round_quotient(im, q, prec)) if cplx
+            else round_quotient(re, q, prec))
         value = rounded(sr, si)
         # The cut of S and Q to their leading bits, in the bound.
         cut = max(q.bit_length(), sr.bit_length(), si.bit_length()) > prec + 64

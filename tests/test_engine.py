@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -34,7 +35,14 @@ from cfx.families import (
     make_m_fraction_diagonal,
     shifted_tail,
 )
-from cfx.kernel import ComplexParam, NonConvergenceError, ParameterError, SingularError, to_mp
+from cfx.kernel import (
+    ComplexParam,
+    NonConvergenceError,
+    ParameterError,
+    SingularError,
+    round_quotient,
+    to_mp,
+)
 from cfx.oracle import exp_series, hyp_1f1, hyp_2f2
 
 E_EULER_TABLE = [
@@ -291,7 +299,8 @@ def _reference_limit(spec, digits):
     consecutive steps with |C_k - C_{k-1}| < 10^-digits * max(1, |C_k|),
     compared squared.  The limit is typed as estimate_limit types it, by its
     Moebius image: exact when the image's numerator and denominator are both
-    real, else rounded as estimate_limit rounds it."""
+    real, else rounded as estimate_limit rounds it: each part of the exact
+    Gaussian quotient once, by kernel.round_quotient."""
     alpha, beta, gamma, delta = spec.mobius
     threshold2 = Fraction(1, 100**digits)
     p_prev, p, q_prev, q = 1, spec.head, 0, 1
@@ -322,7 +331,8 @@ def _reference_limit(spec, digits):
     if not any(ComplexParam.coerce(x).im for x in (alpha * p + beta * q, gamma * p + delta * q)):
         return value.re, k
     with mp.workdps(digits + max(10, digits // 4)):
-        return value.to_mp(), k
+        re, im = (round_quotient(x.numerator, x.denominator, mp.prec) for x in (value.re, value.im))
+        return (mpc(re, im) if value.im else re), k
 
 
 EXACT_FAMILIES = [
@@ -999,3 +1009,45 @@ def test_a_traced_rule_still_steps_on_its_progression():
         calls.clear()
         assert estimate_limit(traced, 100) == estimate_limit(spec, 100)
         assert calls == ([] if spec.rule.a.start == 1 else [1, 1])
+
+
+# Gaussian runs: complex z and b, a purely imaginary a_m = i m, and a
+# period-20 rule that is real for m < 20 and Gaussian from m = 20 on, so a run
+# from k = 0 starts real and turns Gaussian inside its second leaf.
+GAUSSIAN_RUN_SPECS = [
+    make_inc_gamma(ComplexParam(2, 3)),
+    make_m_fraction(ComplexParam(1, 1), ComplexParam(1, 1)),
+    ExpansionSpec(name="a=i*m", head=1, rule=CoefficientRule(
+        a=_linear(0, ComplexParam(0, 1)), b=_linear(1, 2))),
+    ExpansionSpec(name="real-then-gaussian", head=Fraction(1, 2), rule=CoefficientRule(
+        a=_linear(tuple(Fraction(r + 1, 3) for r in range(20)),
+                  tuple(ComplexParam(r - 7, 1) for r in range(20))),
+        b=_linear(tuple(range(1, 21)), (20,) * 20))),
+    make_e_euler(),
+]
+
+
+@pytest.mark.parametrize("spec", GAUSSIAN_RUN_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("before", [0, 5])
+def test_a_run_equals_its_steps(spec, before):
+    # send(n) after row `before` gives the row that n plain steps give, with
+    # la the sum of log2 of each full leaf's product of |a'_j|^2 and an the
+    # last leaf's product; the row after the run is the plain one again.
+    form = engine_module._progression(spec.rule)
+    plain = list(itertools.islice(engine_module._raw_convergents(spec, form), before + 102))
+    if spec.name == "real-then-gaussian":
+        assert not any(row[2] or row[4] for row in plain[:20]) and plain[20][2]
+    for n in (1, 15, 16, 17, 32, 33, 100):
+        walk = engine_module._raw_convergents(spec, form)
+        for _ in range(before + 1):
+            next(walk)
+        got = walk.send(n)
+        want = plain[before + n]
+        norms = [row[10] for row in plain[before + 1:before + n + 1]]
+        leaves = [math.prod(norms[i:i + engine_module._LEAF])
+                  for i in range(0, n, engine_module._LEAF)]
+        la = 0.0
+        for x in leaves[:-1]:
+            la += math.log2(x)
+        assert got == (*want[:9], la, leaves[-1], want[11]), n
+        assert next(walk) == plain[before + n + 1], n

@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from cfx.kernel import (
     ComplexParam,
@@ -15,6 +16,7 @@ from cfx.kernel import (
     factorial,
     gaussian,
     pochhammer,
+    round_quotient,
 )
 
 
@@ -191,3 +193,43 @@ def test_gaussian_clears_the_least_denominator(a):
     assert math.gcd(p, q, d) == 1  # else d / gcd would also clear a
     assert gaussian(a.re) == gaussian(ComplexParam(a.re))
     assert gaussian(-7) == (-7, 0, 1)
+
+
+def _round_quotient_cases():
+    """(num, den, prec) from a seeded generator: random signed operands,
+    shorter and longer than the prec + 64 bits the helper keeps, exact
+    dyadic quotients m 2^e, exact ties between two prec-bit neighbours on
+    operands it keeps whole, and a zero numerator."""
+    rng = random.Random(20261022)
+    cases = []
+    for prec in (53, 100, 333, 1000, 3400):
+        for _ in range(40):
+            num = rng.getrandbits(rng.randint(1, prec + 300)) * rng.choice((1, -1))
+            den = rng.getrandbits(rng.randint(1, prec + 300)) | 1
+            cases.append((num, den, prec))
+        for _ in range(20):
+            m = rng.getrandbits(rng.randint(1, prec)) * rng.choice((1, -1)) or 1
+            den = rng.getrandbits(rng.randint(1, 2 * prec + 200)) | 1
+            e = rng.randint(-prec, prec)
+            num, den = (m * den << e, den) if e >= 0 else (m * den, den << -e)
+            cases.append((num, den, prec))
+        for _ in range(10):  # (2m + 1)/2: halfway between m and m + 1 at prec bits
+            m = rng.getrandbits(prec - 1) | 1 << (prec - 1)
+            den = rng.getrandbits(40) | 1
+            cases.append(((2 * m + 1) * den * rng.choice((1, -1)), 2 * den, prec))
+        cases.append((0, rng.getrandbits(prec + 100) | 1, prec))
+    return cases
+
+
+def test_round_quotient_is_the_correctly_rounded_quotient():
+    # Kept from the leading prec + 64 bits of each operand, the quotient is
+    # within 2^-(prec+61) of itself, so it rounds as the exact one does
+    # unless it lies that near a tie.  None of these inputs does, except the
+    # exact ties, whose operands it keeps whole and so divides exactly.
+    longer = 0
+    for num, den, prec in _round_quotient_cases():
+        longer += max(num.bit_length(), den.bit_length()) > prec + 64
+        with mp.workprec(prec):
+            got = round_quotient(num, den, prec)
+        assert got._mpf_ == libmp.from_rational(num, den, prec, libmp.round_nearest), (num, den, prec)
+    assert longer > 100
